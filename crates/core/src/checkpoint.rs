@@ -24,6 +24,7 @@
 //! chaos harness in `tests/chaos_resume.rs` enforces the contract.
 
 use std::io;
+use std::path::Path;
 
 use fedmigr_compress::{CompressionStats, CompressorState};
 use fedmigr_drl::{AgentState, OuState, ReplayState, Transition, UpdateStats};
@@ -40,8 +41,10 @@ use crate::migration::QuarantineState;
 pub const RUN_STATE_MAGIC: &[u8; 8] = b"FEDMIGRR";
 
 /// Current run-checkpoint format version. Version 2 added the stamp's
-/// `mode` field (dense vs fleet) and the fleet payload layout.
-pub const RUN_STATE_VERSION: u32 = 2;
+/// `mode` field (dense vs fleet) and the fleet payload layout; version 3
+/// moved the state both runners carry into one shared [`LedgerState`]
+/// prefix, ahead of each mode's own fields.
+pub const RUN_STATE_VERSION: u32 = 3;
 
 /// Identifying configuration a checkpoint is only valid for. Stamped into
 /// every checkpoint and validated field by field on load: resuming a run
@@ -73,15 +76,17 @@ pub struct RunStamp {
     pub mode: String,
 }
 
-/// A late upload buffered across a checkpoint (the flow transport's
-/// staleness buffer).
+/// An upload that completed after its round's deadline, buffered until an
+/// aggregation folds it with a staleness discount (or ages it out). Lives
+/// in the dense runner's staleness buffer and in its checkpoints as is.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LateUploadState {
+pub struct LateUpload {
     /// The uploading client.
     pub client: usize,
-    /// The decoded payload the wire delivered.
+    /// The decoded payload the wire delivered (codec applied).
     pub params: Vec<f32>,
-    /// Aggregation counter when the upload was buffered.
+    /// Value of the aggregation counter when the upload was buffered;
+    /// staleness age is measured against it in aggregation rounds.
     pub seq: usize,
 }
 
@@ -90,19 +95,18 @@ pub struct LateUploadState {
 pub struct AgentSnapshot {
     /// Full agent state (networks, replay, RNG, OU noise).
     pub agent: AgentState,
-    /// Decisions awaiting their reward: `(state, destination, client)`.
+    /// Decisions awaiting their reward: `(state, action, decider)`.
     pub pending: Vec<(Vec<f32>, usize, usize)>,
 }
 
-/// Everything a round depends on, captured after a completed epoch.
+/// The state both runners carry from round to round — the run ledger's
+/// share of every checkpoint, encoded once ahead of the mode's own fields.
 #[derive(Clone, Debug, PartialEq)]
-pub struct RunState {
+pub struct LedgerState {
     /// Last completed epoch; resume continues at `epoch + 1`.
     pub epoch: usize,
     /// Server-held global model parameters.
     pub global: Vec<f32>,
-    /// Per-client mutable state (model, RNG, shuffled indices, counters).
-    pub clients: Vec<ClientState>,
     /// The shared runner RNG's raw stream position.
     pub rng: [u64; 4],
     /// Resource-meter consumption.
@@ -111,6 +115,33 @@ pub struct RunState {
     pub clock_now: f64,
     /// Per-phase attribution of the virtual clock.
     pub phase: PhaseBreakdown,
+    /// DDPG agent state (`None` for non-DRL schemes).
+    pub agent: Option<AgentSnapshot>,
+    /// Per-epoch records produced so far.
+    pub records: Vec<EpochRecord>,
+    /// Intra-LAN migrations executed.
+    pub migrations_local: usize,
+    /// Cross-LAN migrations executed.
+    pub migrations_global: usize,
+    /// Previous round's mean training loss.
+    pub prev_loss: Option<f32>,
+    /// Previous round's (compute, bandwidth) budget usage fractions.
+    pub last_epoch_usage: (f64, f64),
+    /// Most recent DRL step reward.
+    pub last_step_reward: f64,
+    /// Recovery accounting carried across resumes.
+    pub recovery: RecoveryStats,
+}
+
+/// Everything a dense round depends on, captured after a completed epoch:
+/// the ledger's share plus every materialized client and the dense
+/// runner's transport, defense, diagnostics and codec state.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunState {
+    /// The state both runners carry.
+    pub ledger: LedgerState,
+    /// Per-client mutable state (model, RNG, shuffled indices, counters).
+    pub clients: Vec<ClientState>,
     /// Fault accounting so far.
     pub fault_stats: FaultStats,
     /// Per-client downtime EMAs.
@@ -118,7 +149,7 @@ pub struct RunState {
     /// Flow-transport accumulator state.
     pub taccum: TransportAccumState,
     /// Buffered late uploads awaiting a future aggregation.
-    pub late_buf: Vec<LateUploadState>,
+    pub late_buf: Vec<LateUpload>,
     /// Completed-aggregation counter.
     pub agg_seq: usize,
     /// Migration-quarantine state (`None` without an active adversary).
@@ -131,71 +162,24 @@ pub struct RunState {
     pub train_mix: Vec<Vec<f64>>,
     /// Wire-compressor state (error-feedback residuals, rounding counter).
     pub compressor: CompressorState,
-    /// DDPG agent state (`None` for non-DRL schemes).
-    pub agent: Option<AgentSnapshot>,
-    /// Per-epoch records produced so far.
-    pub records: Vec<EpochRecord>,
     /// `K x K` migration-count matrix.
     pub link_migrations: Vec<u32>,
-    /// Intra-LAN migrations executed.
-    pub migrations_local: usize,
-    /// Cross-LAN migrations executed.
-    pub migrations_global: usize,
-    /// Previous round's mean training loss.
-    pub prev_loss: Option<f32>,
-    /// Previous round's (compute, bandwidth) budget usage fractions.
-    pub last_epoch_usage: (f64, f64),
-    /// Most recent DRL step reward.
-    pub last_step_reward: f64,
     /// Clients the watchdog excluded after implicating them in a
     /// divergence (empty in normal runs; excluded clients sit rounds out).
     pub excluded: Vec<bool>,
-    /// Recovery accounting carried across resumes.
-    pub recovery: RecoveryStats,
 }
 
 impl RunState {
     /// Encodes the state under `stamp` into the checkpoint wire format.
     pub fn to_bytes(&self, stamp: &RunStamp) -> Vec<u8> {
-        let mut e = Enc { buf: Vec::with_capacity(4096) };
-        e.buf.extend_from_slice(RUN_STATE_MAGIC);
-        e.u32(RUN_STATE_VERSION);
-        put_stamp(&mut e, stamp);
-        put_state(&mut e, self);
-        let crc = crc32(&e.buf);
-        e.u32(crc);
-        e.buf
+        encode(stamp, &self.ledger, |e| put_dense(e, self))
     }
 
     /// Decodes a checkpoint, validating the magic, version, CRC and every
     /// stamp field against `expect` before touching the payload. Any
     /// corruption or mismatch yields [`io::ErrorKind::InvalidData`].
     pub fn from_bytes(bytes: &[u8], expect: &RunStamp) -> io::Result<RunState> {
-        let mut d = open_container(bytes)?;
-        let stamp = take_stamp(&mut d)?;
-        check_stamp(&stamp, expect)?;
-        let state = take_state(&mut d)?;
-        if d.pos != d.b.len() {
-            return Err(bad("trailing bytes after run checkpoint payload"));
-        }
-        Ok(state)
-    }
-
-    /// Writes the encoded checkpoint to `path` atomically (write to a
-    /// sibling temp file, then rename): a crash mid-write never leaves a
-    /// torn checkpoint where a good one stood.
-    pub fn save(&self, path: &std::path::Path, stamp: &RunStamp) -> io::Result<u64> {
-        let bytes = self.to_bytes(stamp);
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Reads and decodes a checkpoint from `path`.
-    pub fn load(path: &std::path::Path, expect: &RunStamp) -> io::Result<RunState> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes, expect)
+        decode(bytes, expect, take_dense)
     }
 }
 
@@ -204,80 +188,73 @@ impl RunState {
 /// stubs (one [`DormantState`] each — RNG stream, migration counter,
 /// participation count), so a K = 100,000 checkpoint is a few megabytes,
 /// not a dense `K × num_params` dump. Shares the dense checkpoint's
-/// magic/version/stamp/CRC container under `mode = "fleet"`.
+/// container and ledger prefix under `mode = "fleet"`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetRunState {
-    /// Last completed round; resume continues at `epoch + 1`.
-    pub epoch: usize,
-    /// Server-held global model parameters.
-    pub global: Vec<f32>,
-    /// The shared sampling RNG's raw stream position.
-    pub rng: [u64; 4],
+    /// The state both runners carry.
+    pub ledger: LedgerState,
     /// Per-client dormant state, in id order (length `K`).
     pub dormant: Vec<DormantState>,
-    /// Pooled DDPG agent state (`None` for non-DRL fleet schemes).
-    pub agent: Option<AgentSnapshot>,
-    /// Resource-meter consumption.
-    pub meter: MeterState,
-    /// Virtual clock time in seconds.
-    pub clock_now: f64,
-    /// Per-phase attribution of the virtual clock.
-    pub phase: PhaseBreakdown,
-    /// Per-round records produced so far.
-    pub records: Vec<EpochRecord>,
-    /// Intra-LAN migrations executed.
-    pub migrations_local: usize,
-    /// Cross-LAN migrations executed.
-    pub migrations_global: usize,
-    /// Previous round's mean training loss.
-    pub prev_loss: Option<f32>,
-    /// Previous round's (compute, bandwidth) budget usage fractions.
-    pub last_epoch_usage: (f64, f64),
-    /// Most recent DRL step reward.
-    pub last_step_reward: f64,
 }
 
 impl FleetRunState {
     /// Encodes the state under `stamp` (which must carry `mode = "fleet"`)
     /// into the checkpoint wire format.
     pub fn to_bytes(&self, stamp: &RunStamp) -> Vec<u8> {
-        let mut e = Enc { buf: Vec::with_capacity(4096) };
-        e.buf.extend_from_slice(RUN_STATE_MAGIC);
-        e.u32(RUN_STATE_VERSION);
-        put_stamp(&mut e, stamp);
-        put_fleet_state(&mut e, self);
-        let crc = crc32(&e.buf);
-        e.u32(crc);
-        e.buf
+        encode(stamp, &self.ledger, |e| put_fleet(e, &self.dormant))
     }
 
     /// Decodes a fleet checkpoint, validating magic, version, CRC and the
     /// stamp (mode first) against `expect` before touching the payload.
     pub fn from_bytes(bytes: &[u8], expect: &RunStamp) -> io::Result<FleetRunState> {
-        let mut d = open_container(bytes)?;
-        let stamp = take_stamp(&mut d)?;
-        check_stamp(&stamp, expect)?;
-        let state = take_fleet_state(&mut d)?;
-        if d.pos != d.b.len() {
-            return Err(bad("trailing bytes after run checkpoint payload"));
-        }
-        Ok(state)
+        decode(bytes, expect, |d, ledger| Ok(FleetRunState { ledger, dormant: take_fleet(d)? }))
     }
+}
 
-    /// Writes the encoded checkpoint to `path` atomically.
-    pub fn save(&self, path: &std::path::Path, stamp: &RunStamp) -> io::Result<u64> {
-        let bytes = self.to_bytes(stamp);
+/// Writes an encoded checkpoint for `epoch` into `dir` as
+/// `ckpt_round_<epoch>.fmrs` plus the `latest.fmrs` alias. Each file is
+/// written atomically (temp file, then rename): a crash mid-write never
+/// leaves a torn checkpoint where a good one stood.
+pub(crate) fn persist(dir: &Path, epoch: usize, bytes: &[u8]) -> io::Result<()> {
+    let write = |path: &Path| -> io::Result<()> {
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(bytes.len() as u64)
-    }
+        std::fs::write(&tmp, bytes)?;
+        std::fs::rename(&tmp, path)
+    };
+    std::fs::create_dir_all(dir)?;
+    write(&dir.join(format!("ckpt_round_{epoch}.fmrs")))?;
+    write(&dir.join("latest.fmrs"))
+}
 
-    /// Reads and decodes a fleet checkpoint from `path`.
-    pub fn load(path: &std::path::Path, expect: &RunStamp) -> io::Result<FleetRunState> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes, expect)
+/// The container around every payload: magic, version, stamp, the ledger
+/// prefix, the mode's fields (`put_mode`), CRC.
+fn encode(stamp: &RunStamp, ledger: &LedgerState, put_mode: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut e = Enc { buf: Vec::with_capacity(4096) };
+    e.buf.extend_from_slice(RUN_STATE_MAGIC);
+    e.u32(RUN_STATE_VERSION);
+    put_stamp(&mut e, stamp);
+    put_ledger(&mut e, ledger);
+    put_mode(&mut e);
+    let crc = crc32(&e.buf);
+    e.u32(crc);
+    e.buf
+}
+
+/// Opens the container, checks the stamp against `expect`, decodes the
+/// ledger prefix and hands it to `take_mode` for the mode's fields.
+fn decode<T>(
+    bytes: &[u8],
+    expect: &RunStamp,
+    take_mode: impl FnOnce(&mut Dec, LedgerState) -> io::Result<T>,
+) -> io::Result<T> {
+    let mut d = open_container(bytes)?;
+    check_stamp(&take_stamp(&mut d)?, expect)?;
+    let ledger = take_ledger(&mut d)?;
+    let state = take_mode(&mut d, ledger)?;
+    if d.pos != d.b.len() {
+        return Err(bad("trailing bytes after run checkpoint payload"));
     }
+    Ok(state)
 }
 
 /// Validates magic, version and CRC, returning a decoder positioned at the
@@ -495,9 +472,87 @@ fn check_stamp(found: &RunStamp, expect: &RunStamp) -> io::Result<()> {
 // ---------------------------------------------------------------------------
 // Payload.
 
-fn put_state(e: &mut Enc, s: &RunState) {
+fn put_ledger(e: &mut Enc, s: &LedgerState) {
     e.us(s.epoch);
     e.f32s(&s.global);
+    e.rng(&s.rng);
+    put_meter(e, &s.meter);
+    e.f64(s.clock_now);
+    put_phase(e, &s.phase);
+    match &s.agent {
+        None => e.bool(false),
+        Some(a) => {
+            e.bool(true);
+            put_agent(e, &a.agent);
+            e.us(a.pending.len());
+            for (state, action, who) in &a.pending {
+                e.f32s(state);
+                e.us(*action);
+                e.us(*who);
+            }
+        }
+    }
+    e.us(s.records.len());
+    for r in &s.records {
+        put_record(e, r);
+    }
+    e.us(s.migrations_local);
+    e.us(s.migrations_global);
+    match s.prev_loss {
+        None => e.bool(false),
+        Some(l) => {
+            e.bool(true);
+            e.f32(l);
+        }
+    }
+    e.f64(s.last_epoch_usage.0);
+    e.f64(s.last_epoch_usage.1);
+    e.f64(s.last_step_reward);
+    put_recovery(e, &s.recovery);
+}
+
+fn take_ledger(d: &mut Dec) -> io::Result<LedgerState> {
+    let epoch = d.us()?;
+    let global = d.f32s()?;
+    let rng = d.rng()?;
+    let meter = take_meter(d)?;
+    let clock_now = d.f64()?;
+    let phase = take_phase(d)?;
+    let agent = if d.bool()? {
+        let agent = take_agent(d)?;
+        let n_pending = d.len(1)?;
+        let mut pending = Vec::with_capacity(n_pending);
+        for _ in 0..n_pending {
+            pending.push((d.f32s()?, d.us()?, d.us()?));
+        }
+        Some(AgentSnapshot { agent, pending })
+    } else {
+        None
+    };
+    let n_records = d.len(1)?;
+    let mut records = Vec::with_capacity(n_records);
+    for _ in 0..n_records {
+        records.push(take_record(d)?);
+    }
+    Ok(LedgerState {
+        epoch,
+        global,
+        rng,
+        meter,
+        clock_now,
+        phase,
+        agent,
+        records,
+        migrations_local: d.us()?,
+        migrations_global: d.us()?,
+        prev_loss: if d.bool()? { Some(d.f32()?) } else { None },
+        last_epoch_usage: (d.f64()?, d.f64()?),
+        last_step_reward: d.f64()?,
+        recovery: take_recovery(d)?,
+    })
+}
+
+fn put_dense(e: &mut Enc, s: &RunState) {
     e.us(s.clients.len());
     for c in &s.clients {
         e.f32s(&c.params);
@@ -508,10 +563,6 @@ fn put_state(e: &mut Enc, s: &RunState) {
         }
         e.us(c.migrations_received);
     }
-    e.rng(&s.rng);
-    put_meter(e, &s.meter);
-    e.f64(s.clock_now);
-    put_phase(e, &s.phase);
     put_fault(e, &s.fault_stats);
     e.f64s(&s.flaky);
     put_taccum(e, &s.taccum);
@@ -535,49 +586,17 @@ fn put_state(e: &mut Enc, s: &RunState) {
     put_mat(e, &s.mix);
     put_mat(e, &s.train_mix);
     put_compressor(e, &s.compressor);
-    match &s.agent {
-        None => e.bool(false),
-        Some(a) => {
-            e.bool(true);
-            put_agent(e, &a.agent);
-            e.us(a.pending.len());
-            for (state, dest, client) in &a.pending {
-                e.f32s(state);
-                e.us(*dest);
-                e.us(*client);
-            }
-        }
-    }
-    e.us(s.records.len());
-    for r in &s.records {
-        put_record(e, r);
-    }
     e.us(s.link_migrations.len());
     for &m in &s.link_migrations {
         e.u32(m);
     }
-    e.us(s.migrations_local);
-    e.us(s.migrations_global);
-    match s.prev_loss {
-        None => e.bool(false),
-        Some(l) => {
-            e.bool(true);
-            e.f32(l);
-        }
-    }
-    e.f64(s.last_epoch_usage.0);
-    e.f64(s.last_epoch_usage.1);
-    e.f64(s.last_step_reward);
     e.us(s.excluded.len());
     for &x in &s.excluded {
         e.bool(x);
     }
-    put_recovery(e, &s.recovery);
 }
 
-fn take_state(d: &mut Dec) -> io::Result<RunState> {
-    let epoch = d.us()?;
-    let global = d.f32s()?;
+fn take_dense(d: &mut Dec, ledger: LedgerState) -> io::Result<RunState> {
     let n_clients = d.len(1)?;
     let mut clients = Vec::with_capacity(n_clients);
     for _ in 0..n_clients {
@@ -588,17 +607,13 @@ fn take_state(d: &mut Dec) -> io::Result<RunState> {
         let migrations_received = d.us()?;
         clients.push(ClientState { params, rng, indices, migrations_received });
     }
-    let rng = d.rng()?;
-    let meter = take_meter(d)?;
-    let clock_now = d.f64()?;
-    let phase = take_phase(d)?;
     let fault_stats = take_fault(d)?;
     let flaky = d.f64s()?;
     let taccum = take_taccum(d)?;
     let n_late = d.len(1)?;
     let mut late_buf = Vec::with_capacity(n_late);
     for _ in 0..n_late {
-        late_buf.push(LateUploadState { client: d.us()?, params: d.f32s()?, seq: d.us()? });
+        late_buf.push(LateUpload { client: d.us()?, params: d.f32s()?, seq: d.us()? });
     }
     let agg_seq = d.us()?;
     let quarantine = if d.bool()? {
@@ -610,40 +625,13 @@ fn take_state(d: &mut Dec) -> io::Result<RunState> {
     let mix = take_mat(d)?;
     let train_mix = take_mat(d)?;
     let compressor = take_compressor(d)?;
-    let agent = if d.bool()? {
-        let agent = take_agent(d)?;
-        let n_pending = d.len(1)?;
-        let mut pending = Vec::with_capacity(n_pending);
-        for _ in 0..n_pending {
-            pending.push((d.f32s()?, d.us()?, d.us()?));
-        }
-        Some(AgentSnapshot { agent, pending })
-    } else {
-        None
-    };
-    let n_records = d.len(1)?;
-    let mut records = Vec::with_capacity(n_records);
-    for _ in 0..n_records {
-        records.push(take_record(d)?);
-    }
     let n_links = d.len(4)?;
     let link_migrations = (0..n_links).map(|_| d.u32()).collect::<io::Result<Vec<u32>>>()?;
-    let migrations_local = d.us()?;
-    let migrations_global = d.us()?;
-    let prev_loss = if d.bool()? { Some(d.f32()?) } else { None };
-    let last_epoch_usage = (d.f64()?, d.f64()?);
-    let last_step_reward = d.f64()?;
     let n_excl = d.len(1)?;
     let excluded = (0..n_excl).map(|_| d.bool()).collect::<io::Result<Vec<bool>>>()?;
-    let recovery = take_recovery(d)?;
     Ok(RunState {
-        epoch,
-        global,
+        ledger,
         clients,
-        rng,
-        meter,
-        clock_now,
-        phase,
         fault_stats,
         flaky,
         taccum,
@@ -654,25 +642,14 @@ fn take_state(d: &mut Dec) -> io::Result<RunState> {
         mix,
         train_mix,
         compressor,
-        agent,
-        records,
         link_migrations,
-        migrations_local,
-        migrations_global,
-        prev_loss,
-        last_epoch_usage,
-        last_step_reward,
         excluded,
-        recovery,
     })
 }
 
-fn put_fleet_state(e: &mut Enc, s: &FleetRunState) {
-    e.us(s.epoch);
-    e.f32s(&s.global);
-    e.rng(&s.rng);
-    e.us(s.dormant.len());
-    for d in &s.dormant {
+fn put_fleet(e: &mut Enc, dormant: &[DormantState]) {
+    e.us(dormant.len());
+    for d in dormant {
         match &d.rng {
             None => e.bool(false),
             Some(r) => {
@@ -683,85 +660,16 @@ fn put_fleet_state(e: &mut Enc, s: &FleetRunState) {
         e.u64(d.migrations_received);
         e.u64(d.participations);
     }
-    match &s.agent {
-        None => e.bool(false),
-        Some(a) => {
-            e.bool(true);
-            put_agent(e, &a.agent);
-            e.us(a.pending.len());
-            for (state, dest, client) in &a.pending {
-                e.f32s(state);
-                e.us(*dest);
-                e.us(*client);
-            }
-        }
-    }
-    put_meter(e, &s.meter);
-    e.f64(s.clock_now);
-    put_phase(e, &s.phase);
-    e.us(s.records.len());
-    for r in &s.records {
-        put_record(e, r);
-    }
-    e.us(s.migrations_local);
-    e.us(s.migrations_global);
-    match s.prev_loss {
-        None => e.bool(false),
-        Some(l) => {
-            e.bool(true);
-            e.f32(l);
-        }
-    }
-    e.f64(s.last_epoch_usage.0);
-    e.f64(s.last_epoch_usage.1);
-    e.f64(s.last_step_reward);
 }
 
-fn take_fleet_state(d: &mut Dec) -> io::Result<FleetRunState> {
-    let epoch = d.us()?;
-    let global = d.f32s()?;
-    let rng = d.rng()?;
+fn take_fleet(d: &mut Dec) -> io::Result<Vec<DormantState>> {
     let n_dormant = d.len(1)?;
     let mut dormant = Vec::with_capacity(n_dormant);
     for _ in 0..n_dormant {
         let rng = if d.bool()? { Some(d.rng()?) } else { None };
         dormant.push(DormantState { rng, migrations_received: d.u64()?, participations: d.u64()? });
     }
-    let agent = if d.bool()? {
-        let agent = take_agent(d)?;
-        let n_pending = d.len(1)?;
-        let mut pending = Vec::with_capacity(n_pending);
-        for _ in 0..n_pending {
-            pending.push((d.f32s()?, d.us()?, d.us()?));
-        }
-        Some(AgentSnapshot { agent, pending })
-    } else {
-        None
-    };
-    let meter = take_meter(d)?;
-    let clock_now = d.f64()?;
-    let phase = take_phase(d)?;
-    let n_records = d.len(1)?;
-    let mut records = Vec::with_capacity(n_records);
-    for _ in 0..n_records {
-        records.push(take_record(d)?);
-    }
-    Ok(FleetRunState {
-        epoch,
-        global,
-        rng,
-        dormant,
-        agent,
-        meter,
-        clock_now,
-        phase,
-        records,
-        migrations_local: d.us()?,
-        migrations_global: d.us()?,
-        prev_loss: if d.bool()? { Some(d.f32()?) } else { None },
-        last_epoch_usage: (d.f64()?, d.f64()?),
-        last_step_reward: d.f64()?,
-    })
+    Ok(dormant)
 }
 
 fn put_mat(e: &mut Enc, m: &[Vec<f64>]) {
@@ -1141,10 +1049,93 @@ mod tests {
         }
     }
 
+    fn sample_record(epoch: usize) -> EpochRecord {
+        EpochRecord {
+            epoch,
+            train_loss: 1.25,
+            test_accuracy: Some(0.5),
+            traffic: TrafficBreakdown { c2s: 100, c2c_local: 50, c2c_global: 25 },
+            sim_time: 12.5,
+            dropped_clients: 1,
+            stale_clients: 0,
+            rejected_migrations: 2,
+            bytes_saved: 0,
+            phase: PhaseBreakdown { train_s: 6.0, c2s_s: 4.0, migration_s: 2.0, backoff_s: 0.5 },
+            retransmits: 3,
+            late_uploads: 1,
+        }
+    }
+
+    fn sample_agent() -> AgentSnapshot {
+        AgentSnapshot {
+            agent: AgentState {
+                actor: vec![0.1, 0.2],
+                critic: vec![0.3],
+                actor_target: vec![0.1, 0.2],
+                critic_target: vec![0.3],
+                replay: ReplayState {
+                    items: vec![Transition {
+                        state: vec![1.0, 0.0],
+                        action: 1,
+                        reward: -0.5,
+                        next_state: vec![0.0, 1.0],
+                        done: false,
+                    }],
+                    weights: vec![1.0],
+                    next_slot: 1,
+                    max_priority: 1.0,
+                    pushes: 1,
+                    inserted_at: vec![0],
+                },
+                rng: [13, 14, 15, 16],
+                ou: Some(OuState { state: vec![0.05, -0.05], rng: [17, 18, 19, 20] }),
+                rho: 0.35,
+                updates: 11,
+                last_stats: Some(UpdateStats {
+                    mean_q: 0.2,
+                    mean_abs_td: 0.1,
+                    max_abs_td: 0.4,
+                    critic_grad_norm: 1.1,
+                    actor_grad_norm: 0.9,
+                }),
+            },
+            pending: vec![(vec![1.0, 2.0], 0, 1)],
+        }
+    }
+
+    fn sample_ledger(epoch: usize, agent: Option<AgentSnapshot>) -> LedgerState {
+        LedgerState {
+            epoch,
+            global: vec![0.5, -1.25, 3.0],
+            rng: [9, 10, 11, 12],
+            meter: MeterState {
+                traffic: TrafficBreakdown { c2s: 100, c2c_local: 50, c2c_global: 25 },
+                overhead: 8,
+                transfer_seconds: 1.5,
+                compute_cost: 240.0,
+            },
+            clock_now: 12.5,
+            phase: PhaseBreakdown { train_s: 6.0, c2s_s: 4.0, migration_s: 2.0, backoff_s: 0.5 },
+            agent,
+            records: vec![sample_record(epoch)],
+            migrations_local: 2,
+            migrations_global: 1,
+            prev_loss: Some(1.25),
+            last_epoch_usage: (0.1, 0.2),
+            last_step_reward: -0.75,
+            recovery: RecoveryStats {
+                checkpoints_written: 2,
+                checkpoint_bytes: 4096,
+                checkpoints_loaded: 1,
+                rollbacks: 0,
+                rounds_replayed: 0,
+            },
+        }
+    }
+
     fn sample_state() -> RunState {
         RunState {
-            epoch: 6,
-            global: vec![0.5, -1.25, 3.0],
+            ledger: sample_ledger(6, Some(sample_agent())),
             clients: vec![
                 ClientState {
                     params: vec![0.5, -1.0, 2.0],
@@ -1159,15 +1150,6 @@ mod tests {
                     migrations_received: 0,
                 },
             ],
-            rng: [9, 10, 11, 12],
-            meter: MeterState {
-                traffic: TrafficBreakdown { c2s: 100, c2c_local: 50, c2c_global: 25 },
-                overhead: 8,
-                transfer_seconds: 1.5,
-                compute_cost: 240.0,
-            },
-            clock_now: 12.5,
-            phase: PhaseBreakdown { train_s: 6.0, c2s_s: 4.0, migration_s: 2.0, backoff_s: 0.5 },
             fault_stats: FaultStats { client_drops: 2, client_panics: 1, ..Default::default() },
             flaky: vec![0.1, 0.0],
             taccum: TransportAccumState {
@@ -1175,7 +1157,7 @@ mod tests {
                 queue_delays: vec![0.1, 0.4],
                 utils: vec![0.8],
             },
-            late_buf: vec![LateUploadState { client: 1, params: vec![1.0, 2.0, 3.0], seq: 2 }],
+            late_buf: vec![LateUpload { client: 1, params: vec![1.0, 2.0, 3.0], seq: 2 }],
             agg_seq: 3,
             quarantine: Some(QuarantineState {
                 norms: vec![1.0, 1.5],
@@ -1191,73 +1173,8 @@ mod tests {
                 seq: 19,
                 stats: CompressionStats { encodes: 19, coords: 57, ..Default::default() },
             },
-            agent: Some(AgentSnapshot {
-                agent: AgentState {
-                    actor: vec![0.1, 0.2],
-                    critic: vec![0.3],
-                    actor_target: vec![0.1, 0.2],
-                    critic_target: vec![0.3],
-                    replay: ReplayState {
-                        items: vec![Transition {
-                            state: vec![1.0, 0.0],
-                            action: 1,
-                            reward: -0.5,
-                            next_state: vec![0.0, 1.0],
-                            done: false,
-                        }],
-                        weights: vec![1.0],
-                        next_slot: 1,
-                        max_priority: 1.0,
-                        pushes: 1,
-                        inserted_at: vec![0],
-                    },
-                    rng: [13, 14, 15, 16],
-                    ou: Some(OuState { state: vec![0.05, -0.05], rng: [17, 18, 19, 20] }),
-                    rho: 0.35,
-                    updates: 11,
-                    last_stats: Some(UpdateStats {
-                        mean_q: 0.2,
-                        mean_abs_td: 0.1,
-                        max_abs_td: 0.4,
-                        critic_grad_norm: 1.1,
-                        actor_grad_norm: 0.9,
-                    }),
-                },
-                pending: vec![(vec![1.0, 2.0], 0, 1)],
-            }),
-            records: vec![EpochRecord {
-                epoch: 6,
-                train_loss: 1.25,
-                test_accuracy: Some(0.5),
-                traffic: TrafficBreakdown { c2s: 100, c2c_local: 50, c2c_global: 25 },
-                sim_time: 12.5,
-                dropped_clients: 1,
-                stale_clients: 0,
-                rejected_migrations: 2,
-                bytes_saved: 0,
-                phase: PhaseBreakdown {
-                    train_s: 6.0,
-                    c2s_s: 4.0,
-                    migration_s: 2.0,
-                    backoff_s: 0.5,
-                },
-                retransmits: 3,
-                late_uploads: 1,
-            }],
             link_migrations: vec![0, 1, 2, 0],
-            migrations_local: 2,
-            migrations_global: 1,
-            prev_loss: Some(1.25),
-            last_epoch_usage: (0.1, 0.2),
-            last_step_reward: -0.75,
             excluded: vec![false, true],
-            recovery: RecoveryStats {
-                checkpoints_written: 2,
-                checkpoint_bytes: 4096,
-                checkpoints_loaded: 1,
-                rollbacks: 0,
-                rounds_replayed: 0,
-            },
         }
     }
 
@@ -1327,7 +1244,7 @@ mod tests {
             .to_string()
             .contains("magic"));
         // A future version must be rejected even with a valid CRC.
-        bytes[8] = 3;
+        bytes[8..12].copy_from_slice(&(RUN_STATE_VERSION + 1).to_le_bytes());
         let body_len = bytes.len() - 4;
         let crc = crc32(&bytes[..body_len]).to_le_bytes();
         bytes[body_len..].copy_from_slice(&crc);
@@ -1343,48 +1260,13 @@ mod tests {
 
     fn sample_fleet_state() -> FleetRunState {
         FleetRunState {
-            epoch: 3,
-            global: vec![0.25, -0.5, 1.0],
-            rng: [21, 22, 23, 24],
+            ledger: sample_ledger(3, None),
             dormant: vec![
                 DormantState { rng: Some([1, 2, 3, 4]), migrations_received: 2, participations: 3 },
                 DormantState::default(),
                 DormantState { rng: None, migrations_received: 0, participations: 1 },
                 DormantState { rng: Some([9, 8, 7, 6]), migrations_received: 1, participations: 1 },
             ],
-            agent: None,
-            meter: MeterState {
-                traffic: TrafficBreakdown { c2s: 64, c2c_local: 32, c2c_global: 16 },
-                overhead: 4,
-                transfer_seconds: 0.5,
-                compute_cost: 100.0,
-            },
-            clock_now: 7.5,
-            phase: PhaseBreakdown { train_s: 4.0, c2s_s: 2.0, migration_s: 1.0, backoff_s: 0.5 },
-            records: vec![EpochRecord {
-                epoch: 3,
-                train_loss: 2.0,
-                test_accuracy: None,
-                traffic: TrafficBreakdown { c2s: 64, c2c_local: 32, c2c_global: 16 },
-                sim_time: 7.5,
-                dropped_clients: 0,
-                stale_clients: 0,
-                rejected_migrations: 0,
-                bytes_saved: 0,
-                phase: PhaseBreakdown {
-                    train_s: 4.0,
-                    c2s_s: 2.0,
-                    migration_s: 1.0,
-                    backoff_s: 0.5,
-                },
-                retransmits: 0,
-                late_uploads: 0,
-            }],
-            migrations_local: 1,
-            migrations_global: 2,
-            prev_loss: Some(2.0),
-            last_epoch_usage: (0.3, 0.4),
-            last_step_reward: 0.125,
         }
     }
 
@@ -1416,28 +1298,15 @@ mod tests {
     }
 
     #[test]
-    fn fleet_save_and_load_round_trip_on_disk() {
-        let dir = std::env::temp_dir().join("fedmigr_fleet_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fleet_round_3.fmrs");
-        let s = sample_fleet_state();
-        let wrote = s.save(&path, &fleet_stamp()).unwrap();
-        assert_eq!(wrote, std::fs::metadata(&path).unwrap().len());
-        let back = FleetRunState::load(&path, &fleet_stamp()).unwrap();
-        assert_eq!(back, s);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn save_and_load_round_trip_on_disk() {
-        let dir = std::env::temp_dir().join("fedmigr_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt_round_6.fmrs");
-        let s = sample_state();
-        let wrote = s.save(&path, &stamp()).unwrap();
-        assert_eq!(wrote, std::fs::metadata(&path).unwrap().len());
-        let back = RunState::load(&path, &stamp()).unwrap();
-        assert_eq!(back, s);
-        std::fs::remove_file(&path).unwrap();
+    fn persist_writes_round_file_and_latest_alias() {
+        let dir = std::env::temp_dir().join(format!("fedmigr_ckpt_test_{}", std::process::id()));
+        let bytes = sample_state().to_bytes(&stamp());
+        persist(&dir, 6, &bytes).unwrap();
+        for name in ["ckpt_round_6.fmrs", "latest.fmrs"] {
+            let on_disk = std::fs::read(dir.join(name)).unwrap();
+            assert_eq!(RunState::from_bytes(&on_disk, &stamp()).unwrap(), sample_state(), "{name}");
+        }
+        assert!(!dir.join("latest.tmp").exists(), "the temp file is renamed away");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

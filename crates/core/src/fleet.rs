@@ -31,25 +31,24 @@ use std::sync::Arc;
 
 use fedmigr_data::{Dataset, SyntheticConfig, SyntheticWorld};
 use fedmigr_drl::qp::FlmmRelaxation;
-use fedmigr_drl::{AgentConfig, DdpgAgent, PooledMigrationState, Transition};
+use fedmigr_drl::PooledMigrationState;
 use fedmigr_fleet::LanProfile;
 use fedmigr_fleet::{
     plan_migrations, ClientPool, FleetAssignment, FleetPlannerConfig, FleetTopology,
     FleetTopologyConfig,
 };
-use fedmigr_net::{transfer_time, ResourceMeter, TransportStats};
+use fedmigr_net::transfer_time;
 use fedmigr_nn::Model;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::aggregate::Aggregator;
-use crate::checkpoint::{AgentSnapshot, FleetRunState, RunStamp};
+use crate::checkpoint::FleetRunState;
 use crate::client::{ClientState, FlClient};
-use crate::metrics::{EpochRecord, FaultStats, RecoveryStats, RobustStats, RunMetrics};
-use crate::reward::{step_reward, terminal_reward, RewardConfig};
-use crate::runner::{PhasedClock, RunConfig, VPhase};
+use crate::ledger::{AgentCtx, RunLedger};
+use crate::metrics::{RobustStats, RunMetrics};
+use crate::runner::{evaluate, RunConfig, VPhase};
 use crate::scheme::Scheme;
-use fedmigr_compress::{CodecConfig, CompressionStats};
 use fedmigr_telemetry::span;
 
 /// Fleet-mode knobs, carried in [`RunConfig::fleet`].
@@ -69,24 +68,6 @@ impl Default for FleetOptions {
     fn default() -> Self {
         Self { sample_frac: 0.05, top_m: 8 }
     }
-}
-
-/// The FedMigr DRL coupling, pooled to LAN granularity: the agent decides
-/// destination *LANs* from `6 + 3·L`-dimensional states, so its cost is
-/// independent of the fleet size.
-struct FleetAgentCtx {
-    agent: DdpgAgent,
-    reward: RewardConfig,
-    lambda: f64,
-    rho: f64,
-    resource_reward: bool,
-    warmup_epochs: usize,
-    updates_per_epoch: usize,
-    /// Decisions awaiting their reward: `(state, destination LAN, active
-    /// position)`. Always drained within the aggregation block that pushed
-    /// them (rewards arrive one epoch later, blocks end on agg epochs with
-    /// nothing pushed), so block-boundary checkpoints never carry any.
-    pending: Vec<(Vec<f32>, usize, usize)>,
 }
 
 /// A fleet-scale experiment: the client population as a lazy pool, a
@@ -154,46 +135,14 @@ impl FleetExperiment {
     /// back into the pool.
     ///
     /// # Panics
-    /// Panics on configurations fleet mode does not support (see the
-    /// asserts at the top: lockstep transport, identity codec, no
-    /// fault/attack/DP injection, FedAvg or FedMigr scheme).
+    /// Panics with the [`RunConfig::validate`] message on configurations
+    /// fleet mode does not support (lockstep transport, identity codec, no
+    /// fault/attack/DP injection, FedAvg or FedMigr scheme); `cfg.fleet`
+    /// defaults to [`FleetOptions::default`].
     pub fn run(&mut self, cfg: &RunConfig) -> RunMetrics {
-        assert!(cfg.epochs > 0 && cfg.agg_interval > 0 && cfg.eval_interval > 0);
         let opts = cfg.fleet.unwrap_or_default();
-        assert!(
-            opts.sample_frac > 0.0 && opts.sample_frac <= 1.0,
-            "fleet sample_frac must be in (0, 1]"
-        );
-        assert!(opts.top_m > 0, "fleet top_m must be positive");
-        assert!(
-            matches!(cfg.scheme, Scheme::FedAvg | Scheme::FedMigr(_)),
-            "fleet mode supports FedAvg and FedMigr, not {}",
-            cfg.scheme.name()
-        );
-        assert!(
-            matches!(cfg.codec, CodecConfig::Identity),
-            "fleet mode requires the identity codec (per-client error-feedback residuals would \
-             scale memory with K)"
-        );
-        assert!(cfg.transport.name() == "lockstep", "fleet mode requires the lockstep transport");
-        assert!(cfg.fault.is_none(), "fleet mode does not support fault injection");
-        assert!(cfg.attack.is_none(), "fleet mode does not support Byzantine attacks");
-        assert!(cfg.dp.is_none(), "fleet mode does not support differential privacy");
-        assert!(
-            matches!(cfg.aggregator, Aggregator::FedAvg),
-            "fleet mode requires the FedAvg aggregator"
-        );
-        assert!(!cfg.watchdog.enabled, "fleet mode does not support the divergence watchdog");
-        assert!(
-            cfg.participation >= 1.0,
-            "fleet mode samples via fleet.sample_frac; leave participation at 1.0"
-        );
-        if let Some(every) = cfg.checkpoint_every {
-            assert!(
-                matches!(cfg.scheme, Scheme::FedAvg) || every.is_multiple_of(cfg.agg_interval),
-                "fleet checkpoints land on aggregation boundaries: checkpoint_every must be a \
-                 multiple of agg_interval"
-            );
+        if let Err(e) = (RunConfig { fleet: Some(opts), ..cfg.clone() }).validate() {
+            panic!("{e}");
         }
 
         let k = self.pool.len();
@@ -201,9 +150,7 @@ impl FleetExperiment {
         let num_lans = self.topo.num_lans();
         let num_classes = self.pool.world().num_classes();
         let mut scratch = self.template.clone();
-        let num_params = scratch.num_params();
         let model_bytes = scratch.wire_bytes();
-        let mut global = scratch.params();
         fedmigr_telemetry::debug!(
             "core::fleet",
             "fleet run start: scheme={} K={k} cohort={cohort_n} lans={num_lans} epochs={} seed={}",
@@ -224,77 +171,16 @@ impl FleetExperiment {
             load.iter().map(|&v| v / total).collect()
         };
 
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x5851_F42D).wrapping_add(3));
-        let mut meter = ResourceMeter::new(cfg.budget);
-        let mut clock = PhasedClock::new();
+        // The DDPG agent decides destination *LANs* from `6 + 3·L`-feature
+        // pooled states, so its cost is independent of the fleet size.
         let pooled = PooledMigrationState::new(num_lans);
-        let mut agent_ctx = match &cfg.scheme {
-            Scheme::FedMigr(fc) => {
-                let mut ac = AgentConfig::new(pooled.dim(), num_lans, fc.agent_seed);
-                ac.rho = fc.rho;
-                ac.noise_std = 0.15;
-                ac.xi = fc.replay_xi;
-                Some(FleetAgentCtx {
-                    agent: DdpgAgent::new(ac),
-                    reward: RewardConfig { upsilon: fc.upsilon, terminal_bonus: fc.terminal_bonus },
-                    lambda: fc.lambda,
-                    rho: fc.rho,
-                    resource_reward: fc.resource_reward,
-                    warmup_epochs: (fc.oracle_warmup_frac * cfg.epochs as f64) as usize,
-                    updates_per_epoch: fc.updates_per_epoch,
-                    pending: Vec::new(),
-                })
-            }
-            _ => None,
-        };
-
-        let mut records: Vec<EpochRecord> = Vec::with_capacity(cfg.epochs);
-        let mut migrations_local = 0usize;
-        let mut migrations_global = 0usize;
-        let mut prev_loss: Option<f32> = None;
-        let mut last_epoch_usage = (0.0f64, 0.0f64);
-        let mut last_step_reward = -1.0f64;
-        let mut budget_exhausted = false;
-        let mut target_reached = false;
-        let mut recovery = RecoveryStats::default();
-
-        let stamp = RunStamp {
-            scheme: cfg.scheme.name(),
-            seed: cfg.seed,
-            epochs: cfg.epochs as u64,
-            clients: k as u64,
-            num_params: num_params as u64,
-            codec: cfg.codec.name(),
-            transport: cfg.transport.name().into(),
-            agg_interval: cfg.agg_interval as u64,
-            mode: "fleet".into(),
-        };
-
+        let agent = AgentCtx::new(cfg, pooled.dim(), num_lans);
+        let mut ledger = RunLedger::new(cfg, ("fleet", "core::fleet"), k, scratch.params(), agent);
         let mut start_epoch = 1usize;
-        if let Some(path) = &cfg.resume {
-            let state = FleetRunState::load(std::path::Path::new(path), &stamp)
-                .unwrap_or_else(|e| panic!("cannot resume fleet run from {path}: {e}"));
-            start_epoch = state.epoch + 1;
-            global = state.global;
-            rng = StdRng::from_state(state.rng);
+        if let Some((state, _)) = ledger.load_resume(FleetRunState::from_bytes) {
             self.pool.import_dormant(state.dormant);
-            if let (Some(ctx), Some(snap)) = (agent_ctx.as_mut(), state.agent) {
-                ctx.agent.import_state(snap.agent);
-                ctx.pending = snap.pending;
-            }
-            meter.import_state(state.meter);
-            clock = PhasedClock::at(state.clock_now, state.phase);
-            records = state.records;
-            migrations_local = state.migrations_local;
-            migrations_global = state.migrations_global;
-            prev_loss = state.prev_loss;
-            last_epoch_usage = state.last_epoch_usage;
-            last_step_reward = state.last_step_reward;
-            recovery.checkpoints_loaded += 1;
-            fedmigr_telemetry::info!(
-                "core::fleet",
-                "resumed fleet run from {path} at epoch {start_epoch}"
-            );
+            start_epoch = ledger.restore(state.ledger) + 1;
+            ledger.log_resumed(start_epoch - 1);
         }
 
         // Round-timeline capture (`--timeline-out`), sparse: tail intervals
@@ -317,7 +203,6 @@ impl FleetExperiment {
         // participant-scoped: dormant clients hold no model, so nothing is
         // ever broadcast fleet-wide.
         let mut cohort: Vec<FlClient> = Vec::new();
-        let mut killed = false;
         // Attributes kernel FLOP/byte/time deltas to the phase that just
         // closed; cheap no-op when accounting is off.
         let mut kphases = crate::kernels::KernelPhases::new();
@@ -331,33 +216,33 @@ impl FleetExperiment {
                     ("scheme".to_string(), cfg.scheme.name()),
                 ],
             );
-            tcap.round_start(epoch, clock.now());
+            tcap.round_start(epoch, ledger.clock.now());
             // (0) Budget gate, matching the dense runner's round preamble.
-            if meter.exhausted() {
-                budget_exhausted = true;
-                records.push(blank_record(epoch, prev_loss, &meter, &clock));
-                tcap.round_end(clock.now());
+            if ledger.meter.exhausted() {
+                ledger.budget_exhausted = true;
+                let blank = ledger.record(epoch, ledger.prev_loss.unwrap_or(0.0), None);
+                ledger.records.push(blank);
+                tcap.round_end(ledger.clock.now());
                 break 'round;
             }
-            let traffic_before = meter.traffic().total();
-            let compute_before = meter.compute_cost();
+            ledger.begin_round();
 
             // (1) Cohort activation at each aggregation block's start:
             // sample, charge the participant-scoped downlink, materialize.
             if cohort.is_empty() {
                 let _activate = span!("core::fleet", "cohort_activate");
-                let ids = sample_cohort(&mut rng, k, cohort_n);
-                meter.record_c2s(ids.len() as u64 * model_bytes);
-                let t0 = clock.now();
+                let ids = sample_cohort(&mut ledger.rng, k, cohort_n);
+                ledger.meter.record_c2s(ids.len() as u64 * model_bytes);
+                let t0 = ledger.clock.now();
                 let adv =
                     ids.len() as f64 * transfer_time(model_bytes, self.topo.c2s_bandwidth(epoch));
-                clock.advance(VPhase::C2s, adv);
+                ledger.clock.advance(VPhase::C2s, adv);
                 if tcap.active() {
                     for &id in &ids {
                         tcap.upload(id, t0, adv, adv, false);
                     }
                 }
-                cohort = self.activate(&ids, &global, cfg.lr);
+                cohort = self.activate(&ids, &ledger.global, cfg.lr);
             }
             kphases.credit("cohort_activate");
             let n = cohort.len();
@@ -373,15 +258,15 @@ impl FleetExperiment {
                 .collect();
             let compute: f64 = cohort.iter().map(|c| c.num_samples() as f64).sum();
             let losses = train_cohort(&mut cohort, cfg.batch_size, cfg.max_batches_per_epoch);
-            meter.record_compute(compute);
-            let train_t0 = clock.now();
+            ledger.meter.record_compute(compute);
+            let train_t0 = ledger.clock.now();
             if tcap.active() {
                 let phase_end = train_t0 + times.iter().fold(0.0f64, |a, &b| a.max(b));
                 for (c, &t) in cohort.iter().zip(&times) {
                     tcap.train(c.id(), train_t0, train_t0 + t, phase_end);
                 }
             }
-            clock.advance_parallel(VPhase::Train, times);
+            ledger.clock.advance_parallel(VPhase::Train, times);
             let mean_loss: f32 = {
                 let w: f64 = cohort.iter().map(|c| c.num_samples() as f64).sum();
                 (losses
@@ -400,7 +285,7 @@ impl FleetExperiment {
             let lans: Vec<u32> = cohort.iter().map(|c| self.pool.stub(c.id()).lan).collect();
             let marginals: Vec<&[f32]> =
                 cohort.iter().map(|c| self.pool.stub(c.id()).marginal.as_slice()).collect();
-            let states: Option<Vec<Vec<f32>>> = agent_ctx.as_ref().map(|_| {
+            let states: Option<Vec<Vec<f32>>> = ledger.agent.as_ref().map(|_| {
                 let profile = LanProfile::build(&lans, &marginals, num_lans, num_classes);
                 let active_frac: Vec<f64> = {
                     let mut f = vec![0.0f64; num_lans];
@@ -410,15 +295,15 @@ impl FleetExperiment {
                     f
                 };
                 let dloss =
-                    prev_loss.map(|p| ((mean_loss - p) / p.max(1e-6)) as f64).unwrap_or(0.0);
+                    ledger.prev_loss.map(|p| ((mean_loss - p) / p.max(1e-6)) as f64).unwrap_or(0.0);
                 (0..n)
                     .map(|i| {
                         pooled.build(
                             epoch as f64 / cfg.epochs as f64,
                             mean_loss as f64,
                             dloss,
-                            meter.bandwidth_remaining_frac(),
-                            meter.compute_remaining_frac(),
+                            ledger.meter.bandwidth_remaining_frac(),
+                            ledger.meter.compute_remaining_frac(),
                             1.0,
                             &profile.distance_row(marginals[i]),
                             &active_frac,
@@ -427,26 +312,7 @@ impl FleetExperiment {
                     })
                     .collect()
             });
-            if let (Some(ctx), Some(states)) = (agent_ctx.as_mut(), states.as_ref()) {
-                let (cu, bu) = if ctx.resource_reward { last_epoch_usage } else { (0.0, 0.0) };
-                let reward = step_reward(
-                    &ctx.reward,
-                    prev_loss.map(|p| (mean_loss - p) as f64).unwrap_or(0.0),
-                    prev_loss.unwrap_or(mean_loss) as f64,
-                    cu,
-                    bu,
-                );
-                last_step_reward = reward;
-                for (state, action, pos) in ctx.pending.drain(..) {
-                    ctx.agent.observe(Transition {
-                        state,
-                        action,
-                        reward: reward as f32,
-                        next_state: states[pos].clone(),
-                        done: false,
-                    });
-                }
-            }
+            ledger.settle_rewards(mean_loss, states.as_deref());
             drop(decision_span);
             kphases.credit("decision");
 
@@ -460,21 +326,21 @@ impl FleetExperiment {
             let mut accuracy = None;
             if is_agg {
                 let agg_span = span!("core::fleet", "aggregate");
-                meter.record_c2s(n as u64 * model_bytes);
-                let t0 = clock.now();
+                ledger.meter.record_c2s(n as u64 * model_bytes);
+                let t0 = ledger.clock.now();
                 let adv = n as f64 * transfer_time(model_bytes, self.topo.c2s_bandwidth(epoch));
-                clock.advance(VPhase::C2s, adv);
+                ledger.clock.advance(VPhase::C2s, adv);
                 if tcap.active() {
                     for c in &cohort {
                         tcap.upload(c.id(), t0, adv, adv, false);
                     }
                 }
-                global = aggregate_cohort(&mut cohort, &global);
+                ledger.global = aggregate_cohort(&mut cohort, &ledger.global);
                 drop(agg_span);
                 kphases.credit("aggregate");
                 if is_eval {
                     let _eval = span!("core::fleet", "evaluate");
-                    accuracy = Some(self.evaluate(&mut scratch, &global));
+                    accuracy = Some(evaluate(&mut scratch, &self.test, &ledger.global));
                     kphases.credit("evaluate");
                 }
                 let retire_span = span!("core::fleet", "retire");
@@ -488,15 +354,14 @@ impl FleetExperiment {
                 kphases.credit("retire");
             } else {
                 let migrate_span = span!("core::fleet", "migrate");
-                if let (Some(ctx), Some(states)) = (agent_ctx.as_mut(), states.as_ref()) {
-                    let rho = if epoch <= ctx.warmup_epochs { 1.0 } else { ctx.rho };
-                    ctx.agent.set_rho(rho);
+                if let (Some(ctx), Some(states)) = (ledger.agent.as_mut(), states.as_ref()) {
+                    ctx.begin_decisions(epoch);
                     // LAN-level FLMM oracle: L × L instead of K × K.
                     let profile = LanProfile::build(&lans, &marginals, num_lans, num_classes);
                     let relax = FlmmRelaxation {
                         benefit: profile.benefit_matrix(),
                         cost: self.lan_cost_matrix(model_bytes),
-                        lambda: ctx.lambda,
+                        lambda: ctx.fc.lambda,
                         entropy: 0.05,
                     };
                     let oracle = relax.solve(40, 0.4);
@@ -510,7 +375,7 @@ impl FleetExperiment {
                     let cross_slow = self.topo.config().cross_slow_bandwidth;
                     let pcfg = FleetPlannerConfig {
                         top_m: opts.top_m,
-                        lambda: ctx.lambda,
+                        lambda: ctx.fc.lambda,
                         seed: cfg.seed ^ 0x00F1_EE75,
                     };
                     let dest = plan_migrations(
@@ -525,14 +390,7 @@ impl FleetExperiment {
                         },
                     );
                     for (i, state) in states.iter().enumerate() {
-                        let dest_lan = lans[dest[i]] as usize;
-                        if epoch <= ctx.warmup_epochs {
-                            // Pre-training: clone the committed plan's
-                            // behaviour into the actor (dense runner's
-                            // oracle warmup, at LAN granularity).
-                            ctx.agent.imitate(state, dest_lan);
-                        }
-                        ctx.pending.push((state.clone(), dest_lan, i));
+                        ctx.decide(epoch, state, lans[dest[i]] as usize, i);
                     }
 
                     // Execute the permutation: model of position i lands on
@@ -547,10 +405,10 @@ impl FleetExperiment {
                         let payloads: HashMap<usize, Vec<f32>> =
                             moves.iter().map(|&(i, _)| (i, cohort[i].params())).collect();
                         let mut move_times = Vec::with_capacity(moves.len());
-                        let mig_t0 = clock.now();
+                        let mig_t0 = ledger.clock.now();
                         for &(i, d) in &moves {
                             let local = self.topo.same_lan(gids[i], gids[d]);
-                            meter.record_c2c(model_bytes, local);
+                            ledger.meter.record_c2c(model_bytes, local);
                             let time = transfer_time(
                                 model_bytes,
                                 self.topo.c2c_bandwidth(gids[i], gids[d], epoch),
@@ -558,12 +416,12 @@ impl FleetExperiment {
                             tcap.migrate(gids[i], mig_t0, time);
                             move_times.push(time);
                             if local {
-                                migrations_local += 1;
+                                ledger.migrations_local += 1;
                             } else {
-                                migrations_global += 1;
+                                ledger.migrations_global += 1;
                             }
                         }
-                        clock.advance_parallel(VPhase::Migration, move_times);
+                        ledger.clock.advance_parallel(VPhase::Migration, move_times);
                         for &(i, d) in &moves {
                             cohort[d].set_params(&payloads[&i], true);
                         }
@@ -575,156 +433,40 @@ impl FleetExperiment {
                     // Shadow aggregation — observation only, the cohort's
                     // models are untouched.
                     let _eval = span!("core::fleet", "evaluate");
-                    let shadow = aggregate_cohort(&mut cohort, &global);
-                    accuracy = Some(self.evaluate(&mut scratch, &shadow));
+                    let shadow = aggregate_cohort(&mut cohort, &ledger.global);
+                    accuracy = Some(evaluate(&mut scratch, &self.test, &shadow));
                     kphases.credit("evaluate");
                 }
             }
 
             // (5) Bookkeeping, cadenced checkpoints, stop conditions.
             let book_span = span!("core::fleet", "bookkeeping");
-            records.push(EpochRecord {
-                epoch,
-                train_loss: mean_loss,
-                test_accuracy: accuracy,
-                traffic: meter.traffic(),
-                sim_time: clock.now(),
-                dropped_clients: 0,
-                stale_clients: 0,
-                rejected_migrations: 0,
-                bytes_saved: 0,
-                phase: clock.phase(),
-                retransmits: 0,
-                late_uploads: 0,
-            });
-            tcap.round_end(clock.now());
-            prev_loss = Some(mean_loss);
-            let epoch_bw = (meter.traffic().total() - traffic_before) as f64;
-            let epoch_compute = meter.compute_cost() - compute_before;
-            last_epoch_usage = (
-                if cfg.budget.compute.is_finite() {
-                    epoch_compute / cfg.budget.compute
-                } else {
-                    0.0
-                },
-                if cfg.budget.bandwidth.is_finite() {
-                    epoch_bw / cfg.budget.bandwidth
-                } else {
-                    0.0
-                },
-            );
-            if let Some(ctx) = agent_ctx.as_mut() {
-                for _ in 0..ctx.updates_per_epoch {
-                    ctx.agent.update();
-                }
+            ledger.end_round(ledger.record(epoch, mean_loss, accuracy));
+            tcap.round_end(ledger.clock.now());
+            ledger.learn();
+            // Checkpoints only at block boundaries: the cohort was just
+            // retired, so the dormant stubs are the complete per-client state
+            // (and the block's pending decisions were settled a round ago).
+            if is_agg && cfg.checkpoint_every.is_some_and(|every| epoch.is_multiple_of(every)) {
+                debug_assert!(cohort.is_empty());
+                let state = FleetRunState {
+                    ledger: ledger.capture(epoch),
+                    dormant: self.pool.export_dormant(),
+                };
+                ledger.write_checkpoint(epoch, &state.to_bytes(&ledger.stamp));
             }
-
-            if let Some(every) = cfg.checkpoint_every {
-                // Only at block boundaries: the cohort was just retired, so
-                // the dormant stubs are the complete per-client state.
-                if is_agg && epoch.is_multiple_of(every) {
-                    debug_assert!(cohort.is_empty());
-                    let state = FleetRunState {
-                        epoch,
-                        global: global.clone(),
-                        rng: rng.state(),
-                        dormant: self.pool.export_dormant(),
-                        agent: agent_ctx.as_mut().map(|ctx| AgentSnapshot {
-                            agent: ctx.agent.export_state(),
-                            pending: ctx.pending.clone(),
-                        }),
-                        meter: meter.export_state(),
-                        clock_now: clock.now(),
-                        phase: clock.phase(),
-                        records: records.clone(),
-                        migrations_local,
-                        migrations_global,
-                        prev_loss,
-                        last_epoch_usage,
-                        last_step_reward,
-                    };
-                    let bytes = state.to_bytes(&stamp);
-                    recovery.checkpoints_written += 1;
-                    recovery.checkpoint_bytes += bytes.len() as u64;
-                    if let Some(dir) = cfg.checkpoint_dir.as_deref() {
-                        let dir = std::path::Path::new(dir);
-                        let write = |path: &std::path::Path| -> std::io::Result<()> {
-                            let tmp = path.with_extension("tmp");
-                            std::fs::write(&tmp, &bytes)?;
-                            std::fs::rename(&tmp, path)
-                        };
-                        let persist = std::fs::create_dir_all(dir)
-                            .and_then(|()| write(&dir.join(format!("ckpt_round_{epoch}.fmrs"))))
-                            .and_then(|()| write(&dir.join("latest.fmrs")));
-                        if let Err(e) = persist {
-                            fedmigr_telemetry::error!(
-                                "core::fleet",
-                                "fleet checkpoint write failed at epoch {epoch} in {}: {e}",
-                                dir.display()
-                            );
-                        }
-                    }
-                }
-            }
-
-            if let (Some(target), Some(acc)) = (cfg.target_accuracy, accuracy) {
-                if acc >= target {
-                    target_reached = true;
-                    break 'round;
-                }
-            }
-            if meter.exhausted() {
-                budget_exhausted = true;
-                break 'round;
-            }
-            if cfg.kill_at == Some(epoch) {
-                killed = true;
-                fedmigr_telemetry::warn!(
-                    "core::fleet",
-                    "kill switch: aborting fleet run after epoch {epoch} (simulated crash)"
-                );
+            if ledger.should_stop(accuracy) || ledger.kill_switch(epoch) {
                 break 'round;
             }
             drop(book_span);
             kphases.credit("bookkeeping");
         }
 
-        // Terminal transition flush (Eq. 18); a killed run crashed and gets
-        // no terminal credit — exactly what `--resume` should pick up.
-        if let Some(ctx) = agent_ctx.as_mut().filter(|_| !killed) {
-            let terminal = terminal_reward(&ctx.reward, last_step_reward, !budget_exhausted);
-            for (state, action, _) in ctx.pending.drain(..) {
-                let next_state = state.clone();
-                ctx.agent.observe(Transition {
-                    state,
-                    action,
-                    reward: terminal as f32,
-                    next_state,
-                    done: true,
-                });
-            }
-        }
         fedmigr_telemetry::rss::record_peak_rss();
-        if !killed {
-            tcap.finish(records.len());
+        if !ledger.killed {
+            tcap.finish(ledger.records.len());
         }
-
-        RunMetrics {
-            scheme: cfg.scheme.name(),
-            records,
-            migrations_local,
-            migrations_global,
-            link_migrations: Vec::new(),
-            budget_exhausted,
-            target_reached,
-            fault: FaultStats::default(),
-            robust: RobustStats::default(),
-            codec: cfg.codec.name(),
-            compression: CompressionStats::default(),
-            transport: cfg.transport.name().into(),
-            transport_stats: TransportStats::default(),
-            recovery,
-        }
+        ledger.finish()
     }
 
     /// Activates `ids` into full clients: datasets are rematerialized (in
@@ -772,23 +514,6 @@ impl FleetExperiment {
         (0..l)
             .map(|a| (0..l).map(|b| if a == b { intra / max } else { cross / max }).collect())
             .collect()
-    }
-
-    /// Accuracy of `params` over the held-out test set (the dense runner's
-    /// chunked evaluation, verbatim).
-    fn evaluate(&self, template: &mut Model, params: &[f32]) -> f64 {
-        template.set_params(params);
-        let n = self.test.len();
-        let mut correct_weighted = 0.0f64;
-        let mut seen = 0usize;
-        let indices: Vec<usize> = (0..n).collect();
-        for chunk in indices.chunks(64) {
-            let (x, labels) = self.test.batch(chunk);
-            let (_, acc) = template.evaluate(&x, &labels);
-            correct_weighted += acc * chunk.len() as f64;
-            seen += chunk.len();
-        }
-        correct_weighted / seen as f64
     }
 }
 
@@ -873,33 +598,12 @@ fn aggregate_cohort(cohort: &mut [FlClient], prev_global: &[f32]) -> Vec<f32> {
     Aggregator::FedAvg.aggregate(&entries, prev_global, &mut stats)
 }
 
-/// The record a budget-exhausted round leaves behind (no training ran).
-fn blank_record(
-    epoch: usize,
-    prev_loss: Option<f32>,
-    meter: &ResourceMeter,
-    clock: &PhasedClock,
-) -> EpochRecord {
-    EpochRecord {
-        epoch,
-        train_loss: prev_loss.unwrap_or(0.0),
-        test_accuracy: None,
-        traffic: meter.traffic(),
-        sim_time: clock.now(),
-        dropped_clients: 0,
-        stale_clients: 0,
-        rejected_migrations: 0,
-        bytes_saved: 0,
-        phase: clock.phase(),
-        retransmits: 0,
-        late_uploads: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedmigr_compress::CodecConfig;
     use fedmigr_nn::zoo::{c10_cnn, NetScale};
+    use rand::SeedableRng;
 
     fn small_fleet(k: usize, lans: usize, seed: u64) -> FleetExperiment {
         FleetExperiment::synthetic(k, lans, 24, 4, seed, c10_cnn(3, 8, NetScale::Small, seed))

@@ -70,6 +70,7 @@ mod checkpoint;
 mod client;
 mod fleet;
 pub mod kernels;
+mod ledger;
 mod metrics;
 mod migration;
 mod privacy;
@@ -81,7 +82,7 @@ mod timeline_capture;
 
 pub use aggregate::{Aggregator, StalenessPolicy};
 pub use checkpoint::{
-    AgentSnapshot, FleetRunState, LateUploadState, RunStamp, RunState, RUN_STATE_MAGIC,
+    AgentSnapshot, FleetRunState, LateUpload, LedgerState, RunStamp, RunState, RUN_STATE_MAGIC,
     RUN_STATE_VERSION,
 };
 pub use client::{ClientState, FlClient};

@@ -8,7 +8,7 @@ use fedmigr_diag::{
     FlightSummary, GraphSnapshot, MigrationEdge, RoundRecord, FLIGHT_VERSION,
 };
 use fedmigr_drl::qp::FlmmRelaxation;
-use fedmigr_drl::{AgentConfig, DdpgAgent, MigrationState, Transition};
+use fedmigr_drl::MigrationState;
 use fedmigr_net::{
     simulate_c2s_traced, simulate_migrations_traced, transfer_time, transfer_time_with_latency,
     try_transfer_time_with_latency, upload_deadline, AttackConfig, AttackModel, ClientCompute,
@@ -18,20 +18,17 @@ use fedmigr_net::{
 use fedmigr_nn::Model;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use fedmigr_telemetry::{span, warn};
 
 use crate::aggregate::{Aggregator, StalenessPolicy};
-use crate::checkpoint::{AgentSnapshot, LateUploadState, RunStamp, RunState};
+use crate::checkpoint::{LateUpload, RunState};
 use crate::client::FlClient;
-use crate::metrics::{
-    EpochRecord, FaultStats, PhaseBreakdown, RecoveryStats, RobustStats, RunMetrics,
-};
+use crate::ledger::{AgentCtx, RunLedger};
+use crate::metrics::{EpochRecord, FaultStats, PhaseBreakdown, RobustStats, RunMetrics};
 use crate::migration::{MigrationPlan, Quarantine, QuarantineConfig};
 use crate::privacy::DpConfig;
-use crate::reward::{step_reward, terminal_reward, RewardConfig};
-use crate::scheme::{MigrationStrategy, Scheme};
+use crate::scheme::{FedMigrConfig, MigrationStrategy, Scheme};
 use crate::timeline_capture::TimelineCapture;
 
 /// Configuration of one federated-learning run.
@@ -194,7 +191,76 @@ impl RunConfig {
             fleet: None,
         }
     }
+
+    /// Checks that every option is supported by the runner this
+    /// configuration selects: the dense [`Experiment`] when `fleet` is
+    /// `None`, the [`crate::FleetExperiment`] otherwise. Both runners panic
+    /// with this message on an invalid configuration; front ends call it
+    /// first to report the problem without building anything.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let check = |ok: bool, msg: String| if ok { Ok(()) } else { Err(ConfigError(msg)) };
+        check(
+            self.epochs > 0 && self.agg_interval > 0 && self.eval_interval > 0,
+            "epochs, agg_interval and eval_interval must be positive".into(),
+        )?;
+        check(
+            self.participation > 0.0 && self.participation <= 1.0,
+            "participation must be in (0, 1]".into(),
+        )?;
+        let Some(opts) = self.fleet else {
+            return check(
+                self.participation >= 1.0 || !matches!(self.scheme, Scheme::Fixed(_)),
+                "fixed migration strategies require full participation".into(),
+            );
+        };
+        let scheme = self.scheme.name();
+        for (ok, msg) in [
+            (opts.sample_frac > 0.0 && opts.sample_frac <= 1.0, "sample_frac must be in (0, 1]"),
+            (opts.top_m > 0, "top_m must be positive"),
+            (
+                matches!(self.scheme, Scheme::FedAvg | Scheme::FedMigr(_)),
+                &format!("mode supports FedAvg and FedMigr, not {scheme}"),
+            ),
+            (
+                matches!(self.codec, CodecConfig::Identity),
+                "mode requires the identity codec (per-client error-feedback residuals would \
+                 scale memory with K)",
+            ),
+            (self.transport.name() == "lockstep", "mode requires the lockstep transport"),
+            (self.fault.is_none(), "mode does not support fault injection"),
+            (self.attack.is_none(), "mode does not support Byzantine attacks"),
+            (self.dp.is_none(), "mode does not support differential privacy"),
+            (matches!(self.aggregator, Aggregator::FedAvg), "mode requires the FedAvg aggregator"),
+            (!self.watchdog.enabled, "mode does not support the divergence watchdog"),
+            (
+                self.participation >= 1.0,
+                "mode samples via fleet.sample_frac; leave participation at 1.0",
+            ),
+            (
+                matches!(self.scheme, Scheme::FedAvg)
+                    || self.checkpoint_every.is_none_or(|n| n.is_multiple_of(self.agg_interval)),
+                "checkpoints land on aggregation boundaries: checkpoint_every must be a \
+                 multiple of agg_interval",
+            ),
+        ] {
+            check(ok, format!("fleet {msg}"))?;
+        }
+        Ok(())
+    }
 }
+
+/// A [`RunConfig`] the selected runner cannot execute; the message names
+/// the offending option.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError(pub String);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// A reusable experiment: datasets, partition, topology, devices and the
 /// model architecture. `run` executes one scheme over this environment.
@@ -245,20 +311,19 @@ impl Experiment {
     }
 
     /// Executes `cfg` and returns the collected metrics.
+    ///
+    /// # Panics
+    /// Panics with the [`RunConfig::validate`] message on an invalid
+    /// configuration, and on a fleet configuration (build a
+    /// [`crate::FleetExperiment`] for those).
     pub fn run(&self, cfg: &RunConfig) -> RunMetrics {
-        assert!(cfg.epochs > 0 && cfg.agg_interval > 0 && cfg.eval_interval > 0);
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         assert!(
             cfg.fleet.is_none(),
             "fleet mode needs the sharded runner: build a FleetExperiment instead of a dense \
              Experiment"
-        );
-        assert!(
-            cfg.participation > 0.0 && cfg.participation <= 1.0,
-            "participation must be in (0, 1]"
-        );
-        assert!(
-            cfg.participation >= 1.0 || !matches!(cfg.scheme, Scheme::Fixed(_)),
-            "fixed migration strategies require full participation"
         );
         let k = self.num_clients();
         fedmigr_telemetry::debug!(
@@ -270,7 +335,6 @@ impl Experiment {
             cfg.seed
         );
         let mut template = self.template.clone();
-        let num_params = template.num_params();
         // One compressor per run: a residual lane per client for egress
         // transfers, seeded from the run seed (stochastic rounding never
         // consumes the shared RNG stream). Every transfer carries one full
@@ -278,10 +342,13 @@ impl Experiment {
         // exact encoded size; under the identity codec it equals the
         // uncompressed `8 + 4n` seed format, byte for byte.
         let mut compressor = Compressor::new(&cfg.codec, k, cfg.seed);
-        let model_bytes = compressor.encoded_size(num_params);
+        let model_bytes = compressor.encoded_size(template.num_params());
         let uncompressed_bytes = template.wire_bytes();
         let saved_per_transfer = uncompressed_bytes.saturating_sub(model_bytes);
-        let mut global = template.params();
+        let featurizer = MigrationState::new(k);
+        let agent = AgentCtx::new(cfg, featurizer.dim(), k);
+        let mut ledger =
+            RunLedger::new(cfg, ("dense", "core::runner"), k, template.params(), agent);
 
         let mut clients: Vec<FlClient> = self
             .partitions
@@ -300,40 +367,19 @@ impl Experiment {
             .collect();
         // Initial distribution is one server-side encode fanned out to all
         // K clients; each installs what the wire actually carried.
-        let initial = compressor.broadcast(&global);
+        let initial = compressor.broadcast(&ledger.global);
         for c in &mut clients {
             c.set_params(&initial, false);
         }
         let total_n: f64 = clients.iter().map(|c| c.num_samples() as f64).sum();
 
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x5851_F42D).wrapping_add(3));
-        let mut meter = ResourceMeter::new(cfg.budget);
-        let mut clock = PhasedClock::new();
         let fault = FaultModel::new(cfg.fault.clone(), k);
-        let mut fault_stats = FaultStats::default();
-        // Exponential moving average of each client's observed downtime;
-        // the FedMigr oracle penalizes flaky destinations with it. Stays
-        // identically zero without fault injection.
-        let mut flaky = vec![0.0f64; k];
         // Flow-transport state. `flow_cfg == None` keeps every code path
         // below on the lockstep accounting, byte-identical to the seeded
-        // baselines. `late_buf` holds uploads that completed after their
-        // round's deadline until an aggregation folds (or ages) them;
-        // `agg_seq` counts completed aggregations so a buffered upload's
-        // staleness is measured in aggregation rounds.
+        // baselines.
         let flow_cfg = cfg.transport.flow_config();
-        let mut taccum = TransportAccum::new();
-        let mut late_buf: Vec<LateUpload> = Vec::new();
-        let mut agg_seq: usize = 0;
 
         let attack = AttackModel::new(cfg.attack.clone(), k);
-        // The migration quarantine exists only under an active adversary:
-        // a benign run must stay byte-identical to the pre-defense path,
-        // and screening benign migrations risks false positives for
-        // nothing.
-        let mut quarantine =
-            attack.enabled().then(|| Quarantine::new(QuarantineConfig::default(), k));
-        let mut robust_total = RobustStats::default();
         if attack.flips_labels() {
             let num_classes = clients[0].label_dist().len();
             let map = fedmigr_data::flip_label_map(num_classes);
@@ -355,18 +401,34 @@ impl Experiment {
             }
             p
         };
-        // The *model mixture*: an exponentially decayed estimate of the
-        // label distribution each model has recently trained on. Migration
-        // permutes it; aggregation resets it to the population (the global
-        // model reflects everyone's data). The distance matrix D_t the DRL
-        // state and oracle use is `d_t[i][j] = ||mix_i - q_j||_1` — "the
-        // differences of data distributions among the clients after t
-        // epochs" (Sec. III-C): migrating a model towards data it has not
-        // seen recently is what shrinks its divergence (Eq. 13).
+        // The distance matrix D_t the DRL state and oracle use is
+        // `d_t[i][j] = ||mix_i - q_j||_1` over the model mixtures (see
+        // `DenseState::mix`) — "the differences of data distributions
+        // among the clients after t epochs" (Sec. III-C): migrating a model
+        // towards data it has not seen recently is what shrinks its
+        // divergence (Eq. 13).
         const MIX_ALPHA: f64 = 0.3;
-        let mut mix: Vec<Vec<f64>> = dists.clone();
         let distance_matrix = |mix: &[Vec<f64>]| -> Vec<Vec<f64>> {
             mix.iter().map(|m| dists.iter().map(|q| l1_distance(m, q)).collect()).collect()
+        };
+        let mut dense = DenseState {
+            clients,
+            compressor,
+            fault_stats: FaultStats::default(),
+            flaky: vec![0.0; k],
+            taccum: TransportAccum::new(),
+            late_buf: Vec::new(),
+            agg_seq: 0,
+            // The migration quarantine exists only under an active
+            // adversary: a benign run must stay byte-identical to the
+            // pre-defense path, and screening benign migrations risks false
+            // positives for nothing.
+            quarantine: attack.enabled().then(|| Quarantine::new(QuarantineConfig::default(), k)),
+            robust_total: RobustStats::default(),
+            mix: dists.clone(),
+            train_mix: dists.clone(),
+            link_migrations: vec![0; k * k],
+            excluded: vec![false; k],
         };
 
         // Round-timeline capture (`--timeline-out`): observation-only and
@@ -386,7 +448,7 @@ impl Experiment {
 
         // Initial model distribution: server -> K clients over the WAN.
         // On the timeline this is "round 0": the seed broadcast.
-        tcap.round_start(0, clock.now());
+        tcap.round_start(0, ledger.clock.now());
         if let Some(fc) = flow_cfg {
             // K concurrent downloads contend for the WAN. Every client was
             // already seeded with the initial parameters above; a failed
@@ -398,61 +460,28 @@ impl Experiment {
                 0,
                 &everyone,
                 model_bytes,
-                &mut meter,
-                &mut clock,
-                &mut taccum,
+                &mut ledger.meter,
+                &mut ledger.clock,
+                &mut dense.taccum,
                 &mut tcap,
             );
         } else {
-            meter.record_c2s(k as u64 * model_bytes);
-            let t0 = clock.now();
+            ledger.meter.record_c2s(k as u64 * model_bytes);
+            let t0 = ledger.clock.now();
             let adv = k as f64
                 * transfer_time_with_latency(
                     model_bytes,
                     self.topology.c2s_bandwidth(0),
                     self.topology.c2s_latency(),
                 );
-            clock.advance(VPhase::C2s, adv);
+            ledger.clock.advance(VPhase::C2s, adv);
             if tcap.active() {
                 for i in 0..k {
                     tcap.upload(i, t0, adv, adv, false);
                 }
             }
         }
-        tcap.round_end(clock.now());
-
-        let featurizer = MigrationState::new(k);
-        let mut agent_ctx = match &cfg.scheme {
-            Scheme::FedMigr(fc) => {
-                let mut ac = AgentConfig::new(featurizer.dim(), k, fc.agent_seed);
-                ac.rho = fc.rho;
-                ac.noise_std = 0.15;
-                ac.xi = fc.replay_xi;
-                Some(AgentCtx {
-                    agent: DdpgAgent::new(ac),
-                    reward: RewardConfig { upsilon: fc.upsilon, terminal_bonus: fc.terminal_bonus },
-                    lambda: fc.lambda,
-                    rho: fc.rho,
-                    resource_reward: fc.resource_reward,
-                    liveness_penalty: fc.liveness_penalty,
-                    suspicion_penalty: fc.suspicion_penalty,
-                    warmup_epochs: (fc.oracle_warmup_frac * cfg.epochs as f64) as usize,
-                    updates_per_epoch: fc.updates_per_epoch,
-                    pending: Vec::new(),
-                })
-            }
-            _ => None,
-        };
-
-        let mut records: Vec<EpochRecord> = Vec::with_capacity(cfg.epochs);
-        let mut link_migrations = vec![0u32; k * k];
-        let mut migrations_local = 0usize;
-        let mut migrations_global = 0usize;
-        let mut prev_loss: Option<f32> = None;
-        let mut last_epoch_usage = (0.0f64, 0.0f64);
-        let mut last_step_reward = -1.0f64;
-        let mut budget_exhausted = false;
-        let mut target_reached = false;
+        tcap.round_end(ledger.clock.now());
 
         // Learning-dynamics diagnostics (observation-only: nothing below
         // may consume `rng` or advance `clock`). The wall-time histogram
@@ -460,12 +489,6 @@ impl Experiment {
         // diffs against this run-start snapshot.
         let diag_on = cfg.diag.active();
         let phase_wall_baseline = phase_seconds_snapshot();
-        // Diagnostic twin of `mix` that aggregation never resets: the label
-        // distribution of the data that actually generated each model
-        // replica's gradients, routed through migrations and swaps only.
-        // FedAvg keeps each replica pinned to its host's shard; migration
-        // is what drives this EMD down.
-        let mut train_mix: Vec<Vec<f64>> = dists.clone();
 
         // --- Crash-safety machinery (DESIGN.md §11) -----------------------
         // All of it is provably zero-cost when disabled: capturing a
@@ -473,142 +496,20 @@ impl Experiment {
         // exclusion mask starts all-false, and NaN-source tracking only
         // runs under the watchdog.
         let watchdog_on = cfg.watchdog.enabled;
-        let mut excluded = vec![false; k];
         // Which clients transmitted a non-finite payload since the last
         // good snapshot — the sources a rollback implicates.
         let mut nan_sources = vec![false; k];
-        let mut recovery = RecoveryStats::default();
         let mut last_good: Option<(usize, Vec<u8>)> = None;
-        let mut killed = false;
-        let stamp = RunStamp {
-            scheme: cfg.scheme.name(),
-            seed: cfg.seed,
-            epochs: cfg.epochs as u64,
-            clients: k as u64,
-            num_params: num_params as u64,
-            codec: cfg.codec.name(),
-            transport: cfg.transport.name().into(),
-            agg_interval: cfg.agg_interval as u64,
-            mode: "dense".into(),
-        };
-        // Restores every piece of run state from a decoded snapshot. A
-        // macro (not a closure) because it re-binds two dozen locals the
-        // surrounding code keeps borrowing.
-        macro_rules! restore_state {
-            ($state:expr) => {{
-                let state: RunState = $state;
-                assert_eq!(state.clients.len(), clients.len(), "checkpoint client count");
-                for (c, cs) in clients.iter_mut().zip(state.clients) {
-                    c.import_state(cs);
-                }
-                global = state.global;
-                rng = StdRng::from_state(state.rng);
-                meter.import_state(state.meter);
-                clock = PhasedClock { clock: SimClock::at(state.clock_now), phase: state.phase };
-                fault_stats = state.fault_stats;
-                flaky = state.flaky;
-                taccum.import_state(state.taccum);
-                late_buf = state
-                    .late_buf
-                    .into_iter()
-                    .map(|l| LateUpload { client: l.client, params: l.params, seq: l.seq })
-                    .collect();
-                agg_seq = state.agg_seq;
-                assert_eq!(
-                    quarantine.is_some(),
-                    state.quarantine.is_some(),
-                    "attack configuration mismatch between checkpoint and run"
-                );
-                if let (Some(q), Some(qs)) = (quarantine.as_mut(), state.quarantine) {
-                    q.import_state(qs);
-                }
-                robust_total = state.robust_total;
-                mix = state.mix;
-                train_mix = state.train_mix;
-                compressor.import_state(state.compressor);
-                assert_eq!(
-                    agent_ctx.is_some(),
-                    state.agent.is_some(),
-                    "scheme mismatch between checkpoint and run"
-                );
-                if let (Some(ctx), Some(snap)) = (agent_ctx.as_mut(), state.agent) {
-                    ctx.agent.import_state(snap.agent);
-                    ctx.pending = snap.pending;
-                }
-                records = state.records;
-                link_migrations = state.link_migrations;
-                migrations_local = state.migrations_local;
-                migrations_global = state.migrations_global;
-                prev_loss = state.prev_loss;
-                last_epoch_usage = state.last_epoch_usage;
-                last_step_reward = state.last_step_reward;
-                excluded = state.excluded;
-                recovery = state.recovery;
-            }};
-        }
-        // Captures the complete run state after epoch `$epoch` completed.
-        macro_rules! capture_state {
-            ($epoch:expr) => {
-                RunState {
-                    epoch: $epoch,
-                    global: global.clone(),
-                    clients: clients.iter_mut().map(|c| c.export_state()).collect(),
-                    rng: rng.state(),
-                    meter: meter.export_state(),
-                    clock_now: clock.now(),
-                    phase: clock.phase(),
-                    fault_stats,
-                    flaky: flaky.clone(),
-                    taccum: taccum.export_state(),
-                    late_buf: late_buf
-                        .iter()
-                        .map(|l| LateUploadState {
-                            client: l.client,
-                            params: l.params.clone(),
-                            seq: l.seq,
-                        })
-                        .collect(),
-                    agg_seq,
-                    quarantine: quarantine.as_ref().map(|q| q.export_state()),
-                    robust_total,
-                    mix: mix.clone(),
-                    train_mix: train_mix.clone(),
-                    compressor: compressor.export_state(),
-                    agent: agent_ctx.as_mut().map(|ctx| AgentSnapshot {
-                        agent: ctx.agent.export_state(),
-                        pending: ctx.pending.clone(),
-                    }),
-                    records: records.clone(),
-                    link_migrations: link_migrations.clone(),
-                    migrations_local,
-                    migrations_global,
-                    prev_loss,
-                    last_epoch_usage,
-                    last_step_reward,
-                    excluded: excluded.clone(),
-                    recovery,
-                }
-            };
-        }
         let mut start_epoch = 1usize;
-        if let Some(path) = cfg.resume.as_deref() {
-            let bytes = std::fs::read(path)
-                .unwrap_or_else(|e| panic!("cannot read checkpoint {path}: {e}"));
-            let state = RunState::from_bytes(&bytes, &stamp)
-                .unwrap_or_else(|e| panic!("cannot resume from {path}: {e}"));
-            let ck_epoch = state.epoch;
-            restore_state!(state);
-            recovery.checkpoints_loaded += 1;
+        if let Some((state, bytes)) = ledger.load_resume(RunState::from_bytes) {
+            let ck_epoch = dense.restore(&mut ledger, state);
+            ledger.log_resumed(ck_epoch);
             last_good = Some((ck_epoch, bytes));
             start_epoch = ck_epoch + 1;
-            fedmigr_telemetry::info!(
-                "core::runner",
-                "resumed from {path}: epoch {ck_epoch} restored, continuing at {start_epoch}"
-            );
         } else if watchdog_on {
             // The watchdog always has somewhere to roll back to: a pristine
             // epoch-0 snapshot covers divergence in the very first round.
-            last_good = Some((0, capture_state!(0).to_bytes(&stamp)));
+            last_good = Some((0, dense.snapshot(&mut ledger, 0)));
         }
 
         let mut flight = match cfg.diag.flight_out.as_deref() {
@@ -659,6 +560,16 @@ impl Experiment {
             None => None,
         };
 
+        // A round's record with the dense runner's transport counters and
+        // the codec's saving filled in. Every meter charge is a whole number
+        // of model transfers, so the cumulative wire-level saving is exact.
+        let dense_record =
+            |ledger: &RunLedger, taccum: &TransportAccum, epoch, loss, acc| EpochRecord {
+                bytes_saved: (ledger.meter.traffic().total() / model_bytes) * saved_per_transfer,
+                retransmits: taccum.retransmits(),
+                late_uploads: taccum.late_uploads(),
+                ..ledger.record(epoch, loss, acc)
+            };
         let mut epoch = start_epoch;
         // Attributes kernel FLOP/byte/time deltas to the phase that just
         // closed; cheap no-op when accounting is off.
@@ -676,9 +587,8 @@ impl Experiment {
                         ("scheme".to_string(), cfg.scheme.name()),
                     ],
                 );
-                tcap.round_start(epoch, clock.now());
-                let traffic_before = meter.traffic().total();
-                let compute_before = meter.compute_cost();
+                tcap.round_start(epoch, ledger.clock.now());
+                ledger.begin_round();
                 let mut robust_epoch = RobustStats::default();
                 // Diagnostics accumulators: the round's migration edge list and
                 // executed source map (identity on non-migration rounds).
@@ -693,7 +603,7 @@ impl Experiment {
                 } else {
                     let n_active = ((cfg.participation * k as f64).ceil() as usize).clamp(1, k);
                     let mut order: Vec<usize> = (0..k).collect();
-                    order.shuffle(&mut rng);
+                    order.shuffle(&mut ledger.rng);
                     let mut mask = vec![false; k];
                     for &i in order.iter().take(n_active) {
                         mask[i] = true;
@@ -706,55 +616,44 @@ impl Experiment {
                 }
                 // Clients the watchdog implicated in a divergence sit rounds
                 // out. All-false in normal runs: a no-op, bit for bit.
-                for (a, &ex) in active.iter_mut().zip(&excluded) {
+                for (a, &ex) in active.iter_mut().zip(&dense.excluded) {
                     *a = *a && !ex;
                 }
                 let dropped = alive.iter().filter(|&&up| !up).count();
-                fault_stats.client_drops += dropped;
-                for (f, &up) in flaky.iter_mut().zip(&alive) {
+                dense.fault_stats.client_drops += dropped;
+                for (f, &up) in dense.flaky.iter_mut().zip(&alive) {
                     *f = 0.9 * *f + if up { 0.0 } else { 0.1 };
                 }
                 if active.iter().all(|&a| !a) {
                     // The entire population is down (or sampled out): the round
                     // is a no-op, but the run survives it.
-                    records.push(EpochRecord {
-                        epoch,
-                        train_loss: prev_loss.unwrap_or(0.0),
-                        test_accuracy: None,
-                        traffic: meter.traffic(),
-                        sim_time: clock.now(),
-                        dropped_clients: dropped,
-                        stale_clients: 0,
-                        rejected_migrations: 0,
-                        bytes_saved: (meter.traffic().total() / model_bytes) * saved_per_transfer,
-                        phase: clock.phase(),
-                        retransmits: taccum.retransmits(),
-                        late_uploads: taccum.late_uploads(),
-                    });
-                    tcap.round_end(clock.now());
+                    let loss = ledger.prev_loss.unwrap_or(0.0);
+                    let r = dense_record(&ledger, &dense.taccum, epoch, loss, None);
+                    ledger.records.push(EpochRecord { dropped_clients: dropped, ..r });
+                    tcap.round_end(ledger.clock.now());
                     break 'round;
                 }
 
                 // (1) Local updating (Eq. 6), clients in parallel.
                 let train_span = span!("core::runner", "local_train");
                 let prox = match cfg.scheme {
-                    Scheme::FedProx { mu } => Some((global.clone(), mu)),
+                    Scheme::FedProx { mu } => Some((ledger.global.clone(), mu)),
                     _ => None,
                 };
                 let (losses, panicked) =
-                    train_all(&mut clients, cfg, prox.as_ref(), &active, &fault, epoch);
+                    train_all(&mut dense.clients, cfg, prox.as_ref(), &active, &fault, epoch);
                 for (i, &p) in panicked.iter().enumerate() {
                     if p {
                         // A panicking client is a crashed client for this
                         // round: no loss, no upload, no mix update. The run
                         // survives it.
                         active[i] = false;
-                        fault_stats.client_panics += 1;
+                        dense.fault_stats.client_panics += 1;
                     }
                 }
                 robust_epoch.nan_batches +=
-                    clients.iter_mut().map(|c| c.take_non_finite_batches()).sum::<u64>();
-                for (i, (m, q)) in mix.iter_mut().zip(&dists).enumerate() {
+                    dense.clients.iter_mut().map(|c| c.take_non_finite_batches()).sum::<u64>();
+                for (i, (m, q)) in dense.mix.iter_mut().zip(&dists).enumerate() {
                     if !active[i] {
                         continue;
                     }
@@ -763,7 +662,7 @@ impl Experiment {
                     }
                 }
                 if diag_on {
-                    for (i, (m, q)) in train_mix.iter_mut().zip(&dists).enumerate() {
+                    for (i, (m, q)) in dense.train_mix.iter_mut().zip(&dists).enumerate() {
                         if !active[i] {
                             continue;
                         }
@@ -772,15 +671,15 @@ impl Experiment {
                         }
                     }
                 }
-                let dmat = distance_matrix(&mix);
+                let dmat = distance_matrix(&dense.mix);
                 let mut times = Vec::with_capacity(k);
                 let mut per_client_time = vec![0.0f64; k];
-                for (i, c) in clients.iter().enumerate() {
+                for (i, c) in dense.clients.iter().enumerate() {
                     if !active[i] {
                         continue;
                     }
                     let samples = effective_samples(c.num_samples(), cfg);
-                    meter.record_compute(self.compute.epoch_cost(i, samples));
+                    ledger.meter.record_compute(self.compute.epoch_cost(i, samples));
                     let t = self.compute.epoch_time_slowed(i, samples, fault.slowdown(i, epoch));
                     per_client_time[i] = t;
                     times.push(t);
@@ -791,7 +690,7 @@ impl Experiment {
                 let mut arrived = active.clone();
                 let mut stale = 0usize;
                 let round_time = times.iter().fold(0.0f64, |a, &b| a.max(b));
-                let train_t0 = clock.now();
+                let train_t0 = ledger.clock.now();
                 let train_adv = match fault.deadline(median(&times)) {
                     Some(deadline) => {
                         for i in 0..k {
@@ -804,7 +703,7 @@ impl Experiment {
                     }
                     None => round_time,
                 };
-                clock.advance(VPhase::Train, train_adv);
+                ledger.clock.advance(VPhase::Train, train_adv);
                 if tcap.active() {
                     for i in (0..k).filter(|&i| active[i]) {
                         tcap.train(
@@ -815,13 +714,15 @@ impl Experiment {
                         );
                     }
                 }
-                let active_n: f32 = clients
+                let active_n: f32 = dense
+                    .clients
                     .iter()
                     .enumerate()
                     .filter(|&(i, _)| active[i])
                     .map(|(_, c)| c.num_samples() as f32)
                     .sum();
-                let mean_loss = clients
+                let mean_loss = dense
+                    .clients
                     .iter()
                     .zip(&losses)
                     .filter_map(|(c, l)| l.map(|l| l * (c.num_samples() as f32 / active_n)))
@@ -832,21 +733,22 @@ impl Experiment {
 
                 // (2) Build decision states and settle last epoch's transitions.
                 let decision_span = span!("core::runner", "decision");
-                let suspicion: Vec<f64> = match &quarantine {
+                let suspicion: Vec<f64> = match &dense.quarantine {
                     Some(q) => q.suspicion().to_vec(),
                     None => vec![0.0; k],
                 };
-                let states: Option<Vec<Vec<f32>>> = agent_ctx.as_ref().map(|_| {
+                let states: Option<Vec<Vec<f32>>> = ledger.agent.as_ref().map(|_| {
                     (0..k)
                         .map(|i| {
                             featurizer.build_with_health(
                                 epoch as f64 / cfg.epochs as f64,
                                 mean_loss as f64,
-                                prev_loss
+                                ledger
+                                    .prev_loss
                                     .map(|p| ((mean_loss - p) / p.max(1e-6)) as f64)
                                     .unwrap_or(0.0),
-                                meter.bandwidth_remaining_frac(),
-                                meter.compute_remaining_frac(),
+                                ledger.meter.bandwidth_remaining_frac(),
+                                ledger.meter.compute_remaining_frac(),
                                 &dmat[i],
                                 &alive,
                                 &suspicion,
@@ -854,27 +756,7 @@ impl Experiment {
                         })
                         .collect()
                 });
-                if let (Some(ctx), Some(states)) = (agent_ctx.as_mut(), states.as_ref()) {
-                    let (cu, bu) = if ctx.resource_reward { last_epoch_usage } else { (0.0, 0.0) };
-                    let reward = step_reward(
-                        &ctx.reward,
-                        prev_loss.map(|p| (mean_loss - p) as f64).unwrap_or(0.0),
-                        prev_loss.unwrap_or(mean_loss) as f64,
-                        cu,
-                        bu,
-                    );
-                    last_step_reward = reward;
-                    for (state, action, client) in ctx.pending.drain(..) {
-                        ctx.agent.observe(Transition {
-                            state,
-                            action,
-                            reward: reward as f32,
-                            next_state: states[client].clone(),
-                            done: false,
-                        });
-                    }
-                }
-
+                ledger.settle_rewards(mean_loss, states.as_deref());
                 drop(decision_span);
                 kphases.credit("decision");
 
@@ -900,8 +782,8 @@ impl Experiment {
                                 &only,
                                 epoch,
                                 model_bytes,
-                                &mut clock,
-                                &mut fault_stats,
+                                &mut ledger.clock,
+                                &mut dense.fault_stats,
                             );
                             match (flow_cfg, reach[u]) {
                                 (Some(fc), true) => {
@@ -915,10 +797,10 @@ impl Experiment {
                                         epoch,
                                         &reach,
                                         model_bytes,
-                                        &mut meter,
-                                        &mut clock,
-                                        &mut taccum,
-                                        &mut fault_stats,
+                                        &mut ledger.meter,
+                                        &mut ledger.clock,
+                                        &mut dense.taccum,
+                                        &mut dense.fault_stats,
                                         &mut tcap,
                                     );
                                     up.on_time[u]
@@ -930,20 +812,20 @@ impl Experiment {
                     };
                     if let (Some(uploader), true) = (uploader, synced) {
                         if flow_cfg.is_none() {
-                            meter.record_c2s(2 * model_bytes);
-                            let t0 = clock.now();
+                            ledger.meter.record_c2s(2 * model_bytes);
+                            let t0 = ledger.clock.now();
                             let adv = 2.0
                                 * transfer_time_with_latency(
                                     model_bytes,
                                     self.topology.c2s_bandwidth(epoch),
                                     self.topology.c2s_latency(),
                                 );
-                            clock.advance(VPhase::C2s, adv);
+                            ledger.clock.advance(VPhase::C2s, adv);
                             tcap.upload(uploader, t0, adv, adv, false);
                         }
-                        let mut upload = clients[uploader].params();
+                        let mut upload = dense.clients[uploader].params();
                         if let Some(dp) = &cfg.dp {
-                            dp.apply(&mut upload, &mut rng);
+                            dp.apply(&mut upload, &mut ledger.rng);
                         }
                         attack.corrupt_upload(uploader, epoch, &mut upload);
                         if watchdog_on && !fedmigr_tensor::all_finite(&upload) {
@@ -953,7 +835,7 @@ impl Experiment {
                         // (and preserved NaN corruption) lands on the decoded
                         // payload, with the uploader's error-feedback residual
                         // applied on egress.
-                        let upload = compressor.transmit(uploader, &upload);
+                        let upload = dense.compressor.transmit(uploader, &upload);
                         // FedAsync has no multi-upload round to robustify, but
                         // a non-finite upload is still screened out whenever a
                         // robust aggregator is configured.
@@ -964,11 +846,11 @@ impl Experiment {
                             robust_epoch.trimmed_clients += 1;
                         }
                         if usable {
-                            for (g, u) in global.iter_mut().zip(&upload) {
+                            for (g, u) in ledger.global.iter_mut().zip(&upload) {
                                 *g = (1.0 - beta) * *g + beta * u;
                             }
                         }
-                        let down = compressor.transmit_down(uploader, &global);
+                        let down = dense.compressor.transmit_down(uploader, &ledger.global);
                         let delivered = match flow_cfg {
                             Some(fc) => {
                                 let mut rx = vec![false; k];
@@ -979,17 +861,17 @@ impl Experiment {
                                     epoch,
                                     &rx,
                                     model_bytes,
-                                    &mut meter,
-                                    &mut clock,
-                                    &mut taccum,
+                                    &mut ledger.meter,
+                                    &mut ledger.clock,
+                                    &mut dense.taccum,
                                     &mut tcap,
                                 )[uploader]
                             }
                             None => true,
                         };
                         if delivered {
-                            clients[uploader].set_params(&down, false);
-                            mix[uploader].clone_from(&population);
+                            dense.clients[uploader].set_params(&down, false);
+                            dense.mix[uploader].clone_from(&population);
                         }
                     } else if uploader.is_some() {
                         // The uploader never reached the server this epoch.
@@ -1005,8 +887,8 @@ impl Experiment {
                         &arrived,
                         epoch,
                         model_bytes,
-                        &mut clock,
-                        &mut fault_stats,
+                        &mut ledger.clock,
+                        &mut dense.fault_stats,
                     );
                     stale += arrived.iter().zip(&synced).filter(|&(&a, &s)| a && !s).count();
                     let n_synced = synced.iter().filter(|&&s| s).count() as u64;
@@ -1023,18 +905,18 @@ impl Experiment {
                             epoch,
                             &synced,
                             model_bytes,
-                            &mut meter,
-                            &mut clock,
-                            &mut taccum,
-                            &mut fault_stats,
+                            &mut ledger.meter,
+                            &mut ledger.clock,
+                            &mut dense.taccum,
+                            &mut dense.fault_stats,
                             &mut tcap,
                         );
                         stale += up.failed;
                         on_time = up.on_time;
                         late = up.late;
                     } else {
-                        meter.record_c2s(2 * n_synced * model_bytes);
-                        let t0 = clock.now();
+                        ledger.meter.record_c2s(2 * n_synced * model_bytes);
+                        let t0 = ledger.clock.now();
                         let adv = 2.0
                             * n_synced as f64
                             * transfer_time_with_latency(
@@ -1042,7 +924,7 @@ impl Experiment {
                                 self.topology.c2s_bandwidth(epoch),
                                 self.topology.c2s_latency(),
                             );
-                        clock.advance(VPhase::C2s, adv);
+                        ledger.clock.advance(VPhase::C2s, adv);
                         if tcap.active() {
                             // Lockstep serializes the transfers: one coarse
                             // upload interval per synced client spanning the
@@ -1052,7 +934,8 @@ impl Experiment {
                             }
                         }
                     }
-                    let mut uploads = collect_params(&mut clients, cfg, &attack, epoch, &mut rng);
+                    let mut uploads =
+                        collect_params(&mut dense.clients, cfg, &attack, epoch, &mut ledger.rng);
                     if watchdog_on {
                         for (n, up) in nan_sources.iter_mut().zip(&uploads) {
                             *n |= !fedmigr_tensor::all_finite(up);
@@ -1068,14 +951,14 @@ impl Experiment {
                         (0..k).filter(|&i| on_time[i] || (late[i] && is_agg)).collect();
                     let items: Vec<(usize, Vec<f32>)> =
                         sel.iter().map(|&i| (i, std::mem::take(&mut uploads[i]))).collect();
-                    for (&i, dec) in sel.iter().zip(compressor.transmit_batch(items)) {
+                    for (&i, dec) in sel.iter().zip(dense.compressor.transmit_batch(items)) {
                         uploads[i] = dec;
                     }
                     for i in (0..k).filter(|&i| late[i] && is_agg) {
-                        late_buf.push(LateUpload {
+                        dense.late_buf.push(LateUpload {
                             client: i,
                             params: uploads[i].clone(),
-                            seq: agg_seq,
+                            seq: dense.agg_seq,
                         });
                     }
                     if is_agg {
@@ -1085,39 +968,39 @@ impl Experiment {
                             // A round with zero on-time uploads can still make
                             // progress from the stale buffer alone.
                             let n_eff = on_time.iter().filter(|&&s| s).count();
-                            if n_eff > 0 || !late_buf.is_empty() {
+                            if n_eff > 0 || !dense.late_buf.is_empty() {
                                 let _agg = span!("core::runner", "aggregate");
                                 if let Some(g) = aggregate_with_late(
-                                    &clients,
+                                    &dense.clients,
                                     &uploads,
                                     &on_time,
                                     &cfg.aggregator,
-                                    &global,
+                                    &ledger.global,
                                     &mut robust_epoch,
-                                    &mut late_buf,
-                                    agg_seq,
+                                    &mut dense.late_buf,
+                                    dense.agg_seq,
                                     &cfg.stale,
-                                    &mut taccum,
+                                    &mut dense.taccum,
                                 ) {
-                                    global = g;
-                                    agg_seq += 1;
+                                    ledger.global = g;
+                                    dense.agg_seq += 1;
                                     let delivered = self.flow_download_phase(
                                         fc,
                                         &fault,
                                         epoch,
                                         &on_time,
                                         model_bytes,
-                                        &mut meter,
-                                        &mut clock,
-                                        &mut taccum,
+                                        &mut ledger.meter,
+                                        &mut ledger.clock,
+                                        &mut dense.taccum,
                                         &mut tcap,
                                     );
                                     if delivered.iter().any(|&d| d) {
-                                        let down = compressor.broadcast(&global);
-                                        for (i, c) in clients.iter_mut().enumerate() {
+                                        let down = dense.compressor.broadcast(&ledger.global);
+                                        for (i, c) in dense.clients.iter_mut().enumerate() {
                                             if delivered[i] {
                                                 c.set_params(&down, false);
-                                                mix[i].clone_from(&population);
+                                                dense.mix[i].clone_from(&population);
                                             }
                                         }
                                     }
@@ -1125,21 +1008,21 @@ impl Experiment {
                             }
                         } else if n_synced > 0 {
                             let _agg = span!("core::runner", "aggregate");
-                            global = aggregate_active(
-                                &clients,
+                            ledger.global = aggregate_active(
+                                &dense.clients,
                                 &uploads,
                                 &synced,
                                 &cfg.aggregator,
-                                &global,
+                                &ledger.global,
                                 &mut robust_epoch,
                             );
                             // One aggregated payload fans out to every synced
                             // client: a single server-side encode.
-                            let down = compressor.broadcast(&global);
-                            for (i, c) in clients.iter_mut().enumerate() {
+                            let down = dense.compressor.broadcast(&ledger.global);
+                            for (i, c) in dense.clients.iter_mut().enumerate() {
                                 if synced[i] {
                                     c.set_params(&down, false);
-                                    mix[i].clone_from(&population);
+                                    dense.mix[i].clone_from(&population);
                                 }
                             }
                         }
@@ -1153,11 +1036,11 @@ impl Experiment {
                         // comes back down through the codec as a distinct
                         // server-egress payload. Under the flow transport a
                         // late upload simply sits the swap out.
-                        let plan = swap_pairs_plan(&on_time, k.div_ceil(4), &mut rng);
+                        let plan = swap_pairs_plan(&on_time, k.div_ceil(4), &mut ledger.rng);
                         uploads = plan.apply(&uploads);
-                        mix = plan.apply(&mix);
+                        dense.mix = plan.apply(&dense.mix);
                         if diag_on {
-                            train_mix = plan.apply(&train_mix);
+                            dense.train_mix = plan.apply(&dense.train_mix);
                         }
                         if let Some(fc) = flow_cfg {
                             // Price the return leg at flow cost (contention,
@@ -1170,15 +1053,15 @@ impl Experiment {
                                 epoch,
                                 &on_time,
                                 model_bytes,
-                                &mut meter,
-                                &mut clock,
-                                &mut taccum,
+                                &mut ledger.meter,
+                                &mut ledger.clock,
+                                &mut dense.taccum,
                                 &mut tcap,
                             );
                         }
-                        for (i, c) in clients.iter_mut().enumerate() {
+                        for (i, c) in dense.clients.iter_mut().enumerate() {
                             let p = if on_time[i] {
-                                compressor.transmit_down(i, &uploads[i])
+                                dense.compressor.transmit_down(i, &uploads[i])
                             } else {
                                 uploads[i].clone()
                             };
@@ -1191,8 +1074,8 @@ impl Experiment {
                         &arrived,
                         epoch,
                         model_bytes,
-                        &mut clock,
-                        &mut fault_stats,
+                        &mut ledger.clock,
+                        &mut dense.fault_stats,
                     );
                     stale += arrived.iter().zip(&synced).filter(|&(&a, &s)| a && !s).count();
                     let n_synced = synced.iter().filter(|&&s| s).count() as u64;
@@ -1205,18 +1088,18 @@ impl Experiment {
                             epoch,
                             &synced,
                             model_bytes,
-                            &mut meter,
-                            &mut clock,
-                            &mut taccum,
-                            &mut fault_stats,
+                            &mut ledger.meter,
+                            &mut ledger.clock,
+                            &mut dense.taccum,
+                            &mut dense.fault_stats,
                             &mut tcap,
                         );
                         stale += up.failed;
                         on_time = up.on_time;
                         late = up.late;
                     } else {
-                        meter.record_c2s(2 * n_synced * model_bytes);
-                        let t0 = clock.now();
+                        ledger.meter.record_c2s(2 * n_synced * model_bytes);
+                        let t0 = ledger.clock.now();
                         let adv = 2.0
                             * n_synced as f64
                             * transfer_time_with_latency(
@@ -1224,7 +1107,7 @@ impl Experiment {
                                 self.topology.c2s_bandwidth(epoch),
                                 self.topology.c2s_latency(),
                             );
-                        clock.advance(VPhase::C2s, adv);
+                        ledger.clock.advance(VPhase::C2s, adv);
                         if tcap.active() {
                             // Lockstep serializes the transfers: one coarse
                             // upload interval per synced client spanning the
@@ -1234,7 +1117,8 @@ impl Experiment {
                             }
                         }
                     }
-                    let mut uploads = collect_params(&mut clients, cfg, &attack, epoch, &mut rng);
+                    let mut uploads =
+                        collect_params(&mut dense.clients, cfg, &attack, epoch, &mut ledger.rng);
                     if watchdog_on {
                         for (n, up) in nan_sources.iter_mut().zip(&uploads) {
                             *n |= !fedmigr_tensor::all_finite(up);
@@ -1243,51 +1127,51 @@ impl Experiment {
                     let sel: Vec<usize> = (0..k).filter(|&i| on_time[i] || late[i]).collect();
                     let items: Vec<(usize, Vec<f32>)> =
                         sel.iter().map(|&i| (i, std::mem::take(&mut uploads[i]))).collect();
-                    for (&i, dec) in sel.iter().zip(compressor.transmit_batch(items)) {
+                    for (&i, dec) in sel.iter().zip(dense.compressor.transmit_batch(items)) {
                         uploads[i] = dec;
                     }
                     for i in (0..k).filter(|&i| late[i]) {
-                        late_buf.push(LateUpload {
+                        dense.late_buf.push(LateUpload {
                             client: i,
                             params: uploads[i].clone(),
-                            seq: agg_seq,
+                            seq: dense.agg_seq,
                         });
                     }
                     if let Some(fc) = flow_cfg {
                         let n_eff = on_time.iter().filter(|&&s| s).count();
-                        if n_eff > 0 || !late_buf.is_empty() {
+                        if n_eff > 0 || !dense.late_buf.is_empty() {
                             let _agg = span!("core::runner", "aggregate");
                             if let Some(g) = aggregate_with_late(
-                                &clients,
+                                &dense.clients,
                                 &uploads,
                                 &on_time,
                                 &cfg.aggregator,
-                                &global,
+                                &ledger.global,
                                 &mut robust_epoch,
-                                &mut late_buf,
-                                agg_seq,
+                                &mut dense.late_buf,
+                                dense.agg_seq,
                                 &cfg.stale,
-                                &mut taccum,
+                                &mut dense.taccum,
                             ) {
-                                global = g;
-                                agg_seq += 1;
+                                ledger.global = g;
+                                dense.agg_seq += 1;
                                 let delivered = self.flow_download_phase(
                                     fc,
                                     &fault,
                                     epoch,
                                     &on_time,
                                     model_bytes,
-                                    &mut meter,
-                                    &mut clock,
-                                    &mut taccum,
+                                    &mut ledger.meter,
+                                    &mut ledger.clock,
+                                    &mut dense.taccum,
                                     &mut tcap,
                                 );
                                 if delivered.iter().any(|&d| d) {
-                                    let down = compressor.broadcast(&global);
-                                    for (i, c) in clients.iter_mut().enumerate() {
+                                    let down = dense.compressor.broadcast(&ledger.global);
+                                    for (i, c) in dense.clients.iter_mut().enumerate() {
                                         if delivered[i] {
                                             c.set_params(&down, false);
-                                            mix[i].clone_from(&population);
+                                            dense.mix[i].clone_from(&population);
                                         }
                                     }
                                 }
@@ -1295,19 +1179,19 @@ impl Experiment {
                         }
                     } else if n_synced > 0 {
                         let _agg = span!("core::runner", "aggregate");
-                        global = aggregate_active(
-                            &clients,
+                        ledger.global = aggregate_active(
+                            &dense.clients,
                             &uploads,
                             &synced,
                             &cfg.aggregator,
-                            &global,
+                            &ledger.global,
                             &mut robust_epoch,
                         );
-                        let down = compressor.broadcast(&global);
-                        for (i, c) in clients.iter_mut().enumerate() {
+                        let down = dense.compressor.broadcast(&ledger.global);
+                        for (i, c) in dense.clients.iter_mut().enumerate() {
                             if synced[i] {
                                 c.set_params(&down, false);
-                                mix[i].clone_from(&population);
+                                dense.mix[i].clone_from(&population);
                             }
                         }
                     }
@@ -1318,27 +1202,32 @@ impl Experiment {
                     let plan_span = span!("core::runner", "migration_plan");
                     let plan = match (&cfg.scheme, states.as_ref()) {
                         (Scheme::RandMigr, _) | (Scheme::Fixed(MigrationStrategy::Random), _) => {
-                            MigrationPlan::random_subset(k, &arrived, &mut rng)
+                            MigrationPlan::random_subset(k, &arrived, &mut ledger.rng)
                         }
                         (Scheme::Fixed(MigrationStrategy::WithinLan), _) => {
-                            MigrationPlan::within_lan_masked(&self.topology, &arrived, &mut rng)
+                            MigrationPlan::within_lan_masked(
+                                &self.topology,
+                                &arrived,
+                                &mut ledger.rng,
+                            )
                         }
                         (Scheme::Fixed(MigrationStrategy::CrossLan), _) => {
-                            MigrationPlan::cross_lan_masked(&self.topology, &arrived, &mut rng)
+                            MigrationPlan::cross_lan_masked(
+                                &self.topology,
+                                &arrived,
+                                &mut ledger.rng,
+                            )
                         }
                         (Scheme::FedMigr(_), Some(states)) => {
-                            let ctx = agent_ctx.as_mut().expect("FedMigr context");
-                            let rho = if epoch <= ctx.warmup_epochs { 1.0 } else { ctx.rho };
-                            ctx.agent.set_rho(rho);
+                            let ctx = ledger.agent.as_mut().expect("FedMigr context");
+                            ctx.begin_decisions(epoch);
                             let (oracle, objective) = self.solve_oracle(
                                 &dmat,
                                 model_bytes,
                                 epoch,
-                                ctx.lambda,
-                                &flaky,
-                                ctx.liveness_penalty,
+                                &ctx.fc,
+                                &dense.flaky,
                                 &suspicion,
-                                ctx.suspicion_penalty,
                             );
                             let desired: Vec<usize> = (0..k)
                                 .map(|i| ctx.agent.select_action(&states[i], Some(&oracle[i])))
@@ -1352,12 +1241,7 @@ impl Experiment {
                             }
                             let plan = MigrationPlan::greedy_assignment_masked(&scores, &arrived);
                             for (i, state) in states.iter().enumerate() {
-                                if epoch <= ctx.warmup_epochs {
-                                    // Pre-training: clone the oracle-driven
-                                    // behaviour into the actor.
-                                    ctx.agent.imitate(state, plan.dest(i));
-                                }
-                                ctx.pending.push((state.clone(), plan.dest(i), i));
+                                ctx.decide(epoch, state, plan.dest(i), i);
                             }
                             plan
                         }
@@ -1365,7 +1249,8 @@ impl Experiment {
                     };
                     drop(plan_span);
                     let transfer_span = span!("core::runner", "migration_transfer");
-                    let params = collect_params(&mut clients, cfg, &attack, epoch, &mut rng);
+                    let params =
+                        collect_params(&mut dense.clients, cfg, &attack, epoch, &mut ledger.rng);
                     if watchdog_on {
                         for (n, p) in nan_sources.iter_mut().zip(&params) {
                             *n |= !fedmigr_tensor::all_finite(p);
@@ -1383,7 +1268,7 @@ impl Experiment {
                     // one simulation: moves contend for their pair links and the
                     // inter-LAN backbone, and a flow that strikes out falls back
                     // onto the retry/relay/C2S-bounce chain below.
-                    let mig_t0 = clock.now();
+                    let mig_t0 = ledger.clock.now();
                     let wave = flow_cfg.map(|fc| {
                         let mv: Vec<(usize, usize)> = plan.moves().collect();
                         let sim = simulate_migrations_traced(
@@ -1395,15 +1280,15 @@ impl Experiment {
                             model_bytes,
                             tcap.active(),
                         );
-                        taccum.absorb(&sim);
-                        meter.record_transfer_seconds(sim.makespan);
+                        dense.taccum.absorb(&sim);
+                        ledger.meter.record_transfer_seconds(sim.makespan);
                         sim
                     });
                     for (m, (i, j)) in plan.moves().enumerate() {
                         let (outcome, time) = match wave.as_ref().map(|w| &w.outcomes[m]) {
                             Some(o) if o.completed => {
-                                meter.record_c2c(model_bytes, self.topology.same_lan(i, j));
-                                meter.record_overhead(o.retransmit_bytes);
+                                ledger.meter.record_c2c(model_bytes, self.topology.same_lan(i, j));
+                                ledger.meter.record_overhead(o.retransmit_bytes);
                                 observe_link_time("direct", o.finish);
                                 (EdgeOutcome::Direct, o.finish)
                             }
@@ -1411,8 +1296,8 @@ impl Experiment {
                                 // The flow burned its wire bytes and struck out;
                                 // resolve through the fallback chain with the
                                 // elapsed flow time charged on top.
-                                meter.record_overhead(o.wire_bytes);
-                                fault_stats.wasted_bytes += model_bytes;
+                                ledger.meter.record_overhead(o.wire_bytes);
+                                dense.fault_stats.wasted_bytes += model_bytes;
                                 let (out, t) = self.deliver_fallback(
                                     &fault,
                                     &alive,
@@ -1420,8 +1305,8 @@ impl Experiment {
                                     j,
                                     epoch,
                                     model_bytes,
-                                    &mut meter,
-                                    &mut fault_stats,
+                                    &mut ledger.meter,
+                                    &mut dense.fault_stats,
                                 );
                                 (out, o.finish + t)
                             }
@@ -1432,8 +1317,8 @@ impl Experiment {
                                 j,
                                 epoch,
                                 model_bytes,
-                                &mut meter,
-                                &mut fault_stats,
+                                &mut ledger.meter,
+                                &mut dense.fault_stats,
                             ),
                         };
                         move_times.push(time);
@@ -1453,8 +1338,8 @@ impl Experiment {
                             // model was still transmitted (the bytes are
                             // burned) but `j` keeps its own copy and the
                             // source's suspicion rises.
-                            let payload = compressor.transmit(i, &params[i]);
-                            if let Some(q) = quarantine.as_mut() {
+                            let payload = dense.compressor.transmit(i, &params[i]);
+                            if let Some(q) = dense.quarantine.as_mut() {
                                 let _screen = span!("core::runner", "quarantine_screen");
                                 if !q.screen(i, &payload, &params[j]) {
                                     robust_epoch.rejected_migrations += 1;
@@ -1463,11 +1348,11 @@ impl Experiment {
                             }
                             src_of[j] = i;
                             delivered_payload[j] = Some(payload);
-                            link_migrations[i * k + j] += 1;
+                            dense.link_migrations[i * k + j] += 1;
                             if self.topology.same_lan(i, j) {
-                                migrations_local += 1;
+                                ledger.migrations_local += 1;
                             } else {
-                                migrations_global += 1;
+                                ledger.migrations_global += 1;
                             }
                         }
                     }
@@ -1479,8 +1364,8 @@ impl Experiment {
                             if s == j {
                                 continue;
                             }
-                            let before = normalized_emd(&mix[j], &population);
-                            let after = normalized_emd(&mix[s], &population);
+                            let before = normalized_emd(&dense.mix[j], &population);
+                            let after = normalized_emd(&dense.mix[s], &population);
                             fedmigr_telemetry::debug!(
                             "core::diag",
                             "migration {s}->{j}: virtual-dataset EMD {before:.4} -> {after:.4} ({:+.4})",
@@ -1488,19 +1373,20 @@ impl Experiment {
                         );
                         }
                     }
-                    clock.advance_parallel(VPhase::Migration, move_times);
+                    ledger.clock.advance_parallel(VPhase::Migration, move_times);
                     if let Some(pt) = wave.as_ref().and_then(|w| w.trace.as_ref()) {
                         // The wave's flow events all sit inside the charged
                         // parallel window (every move's charged time is at
                         // least its own flow's finish).
-                        tcap.phase_trace("migration", mig_t0, clock.now(), pt);
+                        tcap.phase_trace("migration", mig_t0, ledger.clock.now(), pt);
                     }
-                    mix = src_of.iter().map(|&s| mix[s].clone()).collect();
+                    dense.mix = src_of.iter().map(|&s| dense.mix[s].clone()).collect();
                     if diag_on {
-                        train_mix = src_of.iter().map(|&s| train_mix[s].clone()).collect();
+                        dense.train_mix =
+                            src_of.iter().map(|&s| dense.train_mix[s].clone()).collect();
                     }
                     round_src_of.clone_from(&src_of);
-                    for (j, c) in clients.iter_mut().enumerate() {
+                    for (j, c) in dense.clients.iter_mut().enumerate() {
                         match delivered_payload[j].take() {
                             Some(p) => {
                                 let migrated = p != params[j];
@@ -1522,7 +1408,7 @@ impl Experiment {
                 let accuracy = if eval_due {
                     let shadow = if cfg.scheme.is_async() {
                         // FedAsync's global model lives on the server.
-                        global.clone()
+                        ledger.global.clone()
                     } else {
                         // What clients would *transmit* if the server aggregated
                         // now — Byzantine clients corrupt these shadow uploads
@@ -1531,29 +1417,30 @@ impl Experiment {
                         // stats: these transfers are hypothetical), so the
                         // measured accuracy reflects both the aggregation
                         // rule's defense and the wire's lossiness.
-                        let uploads: Vec<Vec<f32>> = clients
+                        let uploads: Vec<Vec<f32>> = dense
+                            .clients
                             .iter_mut()
                             .enumerate()
                             .map(|(i, c)| {
                                 let mut p = c.params();
                                 attack.corrupt_upload(i, epoch, &mut p);
-                                compressor.preview(i, &p)
+                                dense.compressor.preview(i, &p)
                             })
                             .collect();
                         // Hypothetical full participation — except sources the
                         // watchdog has permanently excluded, which are out of
                         // the run for good and must not poison the measurement.
-                        let include: Vec<bool> = excluded.iter().map(|&e| !e).collect();
+                        let include: Vec<bool> = dense.excluded.iter().map(|&e| !e).collect();
                         aggregate_active(
-                            &clients,
+                            &dense.clients,
                             &uploads,
                             &include,
                             &cfg.aggregator,
-                            &global,
+                            &ledger.global,
                             &mut robust_epoch,
                         )
                     };
-                    Some(self.evaluate(&mut template, &shadow))
+                    Some(evaluate(&mut template, &self.test, &shadow))
                 } else {
                     None
                 };
@@ -1561,32 +1448,16 @@ impl Experiment {
                 kphases.credit("evaluate");
 
                 // (5) Agent learning.
-                if let Some(ctx) = agent_ctx.as_mut() {
+                if ledger.agent.is_some() {
                     let _learn = span!("core::runner", "agent_update");
-                    for _ in 0..ctx.updates_per_epoch {
-                        ctx.agent.update();
-                    }
+                    ledger.learn();
                 }
 
                 // (6) Bookkeeping and stopping conditions.
                 kphases.credit("agent_update");
                 let book_span = span!("core::runner", "bookkeeping");
-                let epoch_bw = (meter.traffic().total() - traffic_before) as f64;
-                let epoch_compute = meter.compute_cost() - compute_before;
-                last_epoch_usage = (
-                    if cfg.budget.compute.is_finite() {
-                        epoch_compute / cfg.budget.compute
-                    } else {
-                        0.0
-                    },
-                    if cfg.budget.bandwidth.is_finite() {
-                        epoch_bw / cfg.budget.bandwidth
-                    } else {
-                        0.0
-                    },
-                );
-                fault_stats.stale_client_epochs += stale;
-                if let Some(q) = quarantine.as_mut() {
+                dense.fault_stats.stale_client_epochs += stale;
+                if let Some(q) = dense.quarantine.as_mut() {
                     q.end_epoch();
                 }
                 // Divergence watchdog: a non-finite global model or loss, or a
@@ -1595,7 +1466,8 @@ impl Experiment {
                 // retries with the implicated sources excluded and quarantined.
                 if watchdog_on {
                     let window = cfg.watchdog.window.max(1);
-                    let recent: Vec<f32> = records
+                    let recent: Vec<f32> = ledger
+                        .records
                         .iter()
                         .rev()
                         .take(window)
@@ -1606,12 +1478,13 @@ impl Experiment {
                         .then(|| recent.iter().sum::<f32>() / recent.len() as f32);
                     let spiked = matches!(baseline, Some(b) if b > 0.0
                     && (mean_loss as f64) > cfg.watchdog.spike_factor * b as f64);
-                    let diverged =
-                        !mean_loss.is_finite() || spiked || !fedmigr_tensor::all_finite(&global);
+                    let diverged = !mean_loss.is_finite()
+                        || spiked
+                        || !fedmigr_tensor::all_finite(&ledger.global);
                     if diverged {
                         match last_good.take() {
                             Some((ck_epoch, bytes))
-                                if recovery.rollbacks < cfg.watchdog.max_rollbacks =>
+                                if ledger.recovery.rollbacks < cfg.watchdog.max_rollbacks =>
                             {
                                 let implicated: Vec<usize> =
                                     (0..k).filter(|&i| nan_sources[i]).collect();
@@ -1620,24 +1493,23 @@ impl Experiment {
                                     "watchdog: divergence at epoch {epoch} (loss {mean_loss}, \
                                  global finite: {}); rolling back to epoch {ck_epoch}, \
                                  implicated sources {implicated:?}",
-                                    fedmigr_tensor::all_finite(&global)
+                                    fedmigr_tensor::all_finite(&ledger.global)
                                 );
-                                let mut state = RunState::from_bytes(&bytes, &stamp)
+                                let mut state = RunState::from_bytes(&bytes, &ledger.stamp)
                                     .expect("in-memory checkpoint decodes");
                                 // Recovery accounting and exclusions survive
                                 // the rollback; everything else rewinds.
-                                state.recovery = recovery;
-                                state.excluded = excluded.clone();
-                                restore_state!(state);
+                                state.ledger.recovery = ledger.recovery;
+                                state.excluded = dense.excluded.clone();
+                                dense.restore(&mut ledger, state);
                                 for &i in &implicated {
-                                    excluded[i] = true;
-                                    if let Some(q) = quarantine.as_mut() {
+                                    dense.excluded[i] = true;
+                                    if let Some(q) = dense.quarantine.as_mut() {
                                         q.escalate(i);
                                     }
                                 }
-                                recovery.rollbacks += 1;
-                                recovery.checkpoints_loaded += 1;
-                                recovery.rounds_replayed += epoch - ck_epoch;
+                                ledger.recovery.rollbacks += 1;
+                                ledger.recovery.rounds_replayed += epoch - ck_epoch;
                                 nan_sources.iter_mut().for_each(|n| *n = false);
                                 // Replayed rounds rewrite history: truncate the
                                 // flight recording back to the checkpoint.
@@ -1662,46 +1534,36 @@ impl Experiment {
                                     "core::runner",
                                     "watchdog: divergence at epoch {epoch} but no rollback \
                                  available (budget {}/{} used); continuing",
-                                    recovery.rollbacks,
+                                    ledger.recovery.rollbacks,
                                     cfg.watchdog.max_rollbacks
                                 );
                             }
                         }
                     }
                 }
-                records.push(EpochRecord {
-                    epoch,
-                    train_loss: mean_loss,
-                    test_accuracy: accuracy,
-                    traffic: meter.traffic(),
-                    sim_time: clock.now(),
+                let r = dense_record(&ledger, &dense.taccum, epoch, mean_loss, accuracy);
+                ledger.end_round(EpochRecord {
                     dropped_clients: dropped,
                     stale_clients: stale,
                     rejected_migrations: robust_epoch.rejected_migrations,
-                    // Every meter charge is a whole number of model transfers,
-                    // so the cumulative wire-level saving is exact.
-                    bytes_saved: (meter.traffic().total() / model_bytes) * saved_per_transfer,
-                    phase: clock.phase(),
-                    retransmits: taccum.retransmits(),
-                    late_uploads: taccum.late_uploads(),
+                    ..r
                 });
-                tcap.round_end(clock.now());
-                robust_total.absorb(&robust_epoch);
-                prev_loss = Some(mean_loss);
+                tcap.round_end(ledger.clock.now());
+                dense.robust_total.absorb(&robust_epoch);
 
                 if diag_on {
                     let _diag = span!("core::runner", "diagnostics");
-                    let emd = EmdSnapshot::measure(&mix, &population);
-                    let train_emd = EmdSnapshot::measure(&train_mix, &population);
+                    let emd = EmdSnapshot::measure(&dense.mix, &population);
+                    let train_emd = EmdSnapshot::measure(&dense.train_mix, &population);
                     // Read parameters directly: `collect_params` applies DP
                     // noise and consumes the shared RNG stream, which would
                     // break the diagnostics-off/on byte-identity contract.
                     let params_now: Vec<Vec<f32>> =
-                        clients.iter_mut().map(|c| c.params()).collect();
+                        dense.clients.iter_mut().map(|c| c.params()).collect();
                     let weights: Vec<f64> =
-                        clients.iter().map(|c| c.num_samples() as f64).collect();
-                    let drift = DriftSnapshot::measure(&params_now, &global, &weights);
-                    let drl = match (agent_ctx.as_mut(), states.as_ref()) {
+                        dense.clients.iter().map(|c| c.num_samples() as f64).collect();
+                    let drift = DriftSnapshot::measure(&params_now, &ledger.global, &weights);
+                    let drl = match (ledger.agent.as_mut(), states.as_ref()) {
                         (Some(ctx), Some(states)) => {
                             // Forward-only policy probes: RNG-free by design.
                             let probs: Vec<Vec<f32>> =
@@ -1731,13 +1593,13 @@ impl Experiment {
                     }
                     let mut flight_failed = false;
                     if let Some(rec) = flight.as_mut() {
-                        let traffic = meter.traffic();
-                        let phase = clock.phase();
+                        let traffic = ledger.meter.traffic();
+                        let phase = ledger.clock.phase();
                         let row = RoundRecord {
                             epoch,
                             train_loss: mean_loss as f64,
                             test_accuracy: accuracy,
-                            sim_time: clock.now(),
+                            sim_time: ledger.clock.now(),
                             c2s_bytes: traffic.c2s,
                             c2c_local_bytes: traffic.c2c_local,
                             c2c_global_bytes: traffic.c2c_global,
@@ -1766,14 +1628,7 @@ impl Experiment {
                 }
                 drop(book_span);
                 kphases.credit("bookkeeping");
-                if let (Some(target), Some(acc)) = (cfg.target_accuracy, accuracy) {
-                    if acc >= target {
-                        target_reached = true;
-                        break 'run;
-                    }
-                }
-                if meter.exhausted() {
-                    budget_exhausted = true;
+                if ledger.should_stop(accuracy) {
                     break 'run;
                 }
             } // end of 'round
@@ -1781,115 +1636,52 @@ impl Experiment {
             // --- Round epilogue: snapshot cadence and the kill switch ----
             let snap_every = cfg.checkpoint_every.unwrap_or(1);
             if (cfg.checkpoint_every.is_some() || watchdog_on) && epoch.is_multiple_of(snap_every) {
-                let bytes = capture_state!(epoch).to_bytes(&stamp);
-                recovery.checkpoints_written += 1;
-                recovery.checkpoint_bytes += bytes.len() as u64;
-                if let Some(dir) = cfg.checkpoint_dir.as_deref() {
-                    let dir = std::path::Path::new(dir);
-                    // Atomic writes (temp + rename): a crash mid-write
-                    // never leaves a torn checkpoint where a good one
-                    // stood.
-                    let write = |path: &std::path::Path| -> std::io::Result<()> {
-                        let tmp = path.with_extension("tmp");
-                        std::fs::write(&tmp, &bytes)?;
-                        std::fs::rename(&tmp, path)
-                    };
-                    let persist = std::fs::create_dir_all(dir)
-                        .and_then(|()| write(&dir.join(format!("ckpt_round_{epoch}.fmrs"))))
-                        .and_then(|()| write(&dir.join("latest.fmrs")));
-                    if let Err(e) = persist {
-                        fedmigr_telemetry::error!(
-                            "core::runner",
-                            "checkpoint write failed at epoch {epoch} in {}: {e}",
-                            dir.display()
-                        );
-                    }
-                }
+                let bytes = dense.snapshot(&mut ledger, epoch);
+                ledger.write_checkpoint(epoch, &bytes);
                 last_good = Some((epoch, bytes));
                 nan_sources.iter_mut().for_each(|n| *n = false);
             }
-            if cfg.kill_at == Some(epoch) {
-                killed = true;
-                warn!(
-                    "core::runner",
-                    "kill switch: aborting after epoch {epoch} (simulated crash)"
-                );
+            if ledger.kill_switch(epoch) {
                 break;
             }
             epoch += 1;
         }
 
-        // Terminal transition flush (Eq. 18). A killed run crashed: no
-        // terminal credit, no flight summary — exactly the state a real
-        // crash would leave behind for `--resume` to pick up.
-        if let Some(ctx) = agent_ctx.as_mut().filter(|_| !killed) {
-            let terminal = terminal_reward(&ctx.reward, last_step_reward, !budget_exhausted);
-            for (state, action, client) in ctx.pending.drain(..) {
-                let next = state.clone();
-                let _ = client;
-                ctx.agent.observe(Transition {
-                    state,
-                    action,
-                    reward: terminal as f32,
-                    next_state: next,
-                    done: true,
-                });
-            }
-        }
-
-        if let Some(rec) = flight.as_mut().filter(|_| !killed) {
+        // A killed run crashed: no flight summary and no timeline finish —
+        // exactly the state a real crash would leave behind for `--resume`
+        // to pick up.
+        if let Some(rec) = flight.as_mut().filter(|_| !ledger.killed) {
+            let records = &ledger.records;
             let summary = FlightSummary {
                 epochs_run: records.len(),
                 final_accuracy: records.iter().rev().find_map(|r| r.test_accuracy).unwrap_or(0.0),
                 best_accuracy: records.iter().filter_map(|r| r.test_accuracy).fold(0.0, f64::max),
                 total_bytes: records.last().map(|r| r.traffic.total()).unwrap_or(0),
                 sim_time: records.last().map(|r| r.sim_time).unwrap_or(0.0),
-                migrations_local,
-                migrations_global,
-                final_emd_mean: EmdSnapshot::measure(&mix, &population).mean,
-                target_reached,
-                budget_exhausted,
+                migrations_local: ledger.migrations_local,
+                migrations_global: ledger.migrations_global,
+                final_emd_mean: EmdSnapshot::measure(&dense.mix, &population).mean,
+                target_reached: ledger.target_reached,
+                budget_exhausted: ledger.budget_exhausted,
             };
             if let Err(e) = rec.finish(&summary) {
                 fedmigr_telemetry::error!("core::diag", "flight summary write failed: {e}");
             }
         }
-        if !killed {
-            // A killed run leaves the timeline finish-less, like the flight
-            // recording: exactly what a real crash would leave behind.
-            tcap.finish(records.len());
+        if !ledger.killed {
+            tcap.finish(ledger.records.len());
         }
         log_phase_hotspot(
             &phase_wall_baseline,
-            records.last().map(|r| r.phase).unwrap_or_default(),
+            ledger.records.last().map(|r| r.phase).unwrap_or_default(),
         );
-        if recovery.any() {
-            let reg = fedmigr_telemetry::global().registry();
-            reg.gauge("fedmigr_recovery_checkpoints_written", &[])
-                .set(recovery.checkpoints_written as f64);
-            reg.gauge("fedmigr_recovery_checkpoint_bytes", &[])
-                .set(recovery.checkpoint_bytes as f64);
-            reg.gauge("fedmigr_recovery_checkpoints_loaded", &[])
-                .set(recovery.checkpoints_loaded as f64);
-            reg.gauge("fedmigr_recovery_rollbacks", &[]).set(recovery.rollbacks as f64);
-            reg.gauge("fedmigr_recovery_rounds_replayed", &[]).set(recovery.rounds_replayed as f64);
-        }
-
         RunMetrics {
-            scheme: cfg.scheme.name(),
-            records,
-            migrations_local,
-            migrations_global,
-            link_migrations,
-            budget_exhausted,
-            target_reached,
-            fault: fault_stats,
-            robust: robust_total,
-            codec: cfg.codec.name(),
-            compression: compressor.stats(),
-            transport: cfg.transport.name().into(),
-            transport_stats: taccum.finish(),
-            recovery,
+            link_migrations: dense.link_migrations,
+            fault: dense.fault_stats,
+            robust: dense.robust_total,
+            compression: dense.compressor.stats(),
+            transport_stats: dense.taccum.finish(),
+            ..ledger.finish()
         }
     }
 
@@ -1900,18 +1692,16 @@ impl Experiment {
     /// and no quarantine rejections (`susp` all zero) both penalties vanish
     /// entirely, leaving the seed objective bit-identical.
     /// Returns `(relaxed solution rows, raw objective matrix)`.
-    #[allow(clippy::too_many_arguments)]
     fn solve_oracle(
         &self,
         dmat: &[Vec<f64>],
         model_bytes: u64,
         epoch: usize,
-        lambda: f64,
+        fc: &FedMigrConfig,
         flaky: &[f64],
-        liveness_penalty: f64,
         susp: &[f64],
-        suspicion_penalty: f64,
     ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let (lambda, liveness_penalty) = (fc.lambda, fc.liveness_penalty);
         let k = dmat.len();
         let mut cost = vec![vec![0.0f64; k]; k];
         let mut max_cost = 0.0f64;
@@ -1938,7 +1728,7 @@ impl Experiment {
                     .zip(flaky)
                     .enumerate()
                     .map(|(j, (&d, &f))| {
-                        let keep_home = if i != j { suspicion_penalty * susp[i] } else { 0.0 };
+                        let keep_home = if i != j { fc.suspicion_penalty * susp[i] } else { 0.0 };
                         d - liveness_penalty * f - keep_home
                     })
                     .collect()
@@ -2185,22 +1975,108 @@ impl Experiment {
         }
         delivered
     }
+}
 
-    /// Test accuracy of `params` loaded into `template`, evaluated in
-    /// batches over the server-held test split.
-    fn evaluate(&self, template: &mut Model, params: &[f32]) -> f64 {
-        template.set_params(params);
-        let n = self.test.len();
-        let mut correct_weighted = 0.0f64;
-        let mut seen = 0usize;
-        let indices: Vec<usize> = (0..n).collect();
-        for chunk in indices.chunks(64) {
-            let (x, labels) = self.test.batch(chunk);
-            let (_, acc) = template.evaluate(&x, &labels);
-            correct_weighted += acc * chunk.len() as f64;
-            seen += chunk.len();
+/// Test accuracy of `params` loaded into `template`, evaluated in batches
+/// over the server-held `test` split. Shared by both runners.
+pub(crate) fn evaluate(template: &mut Model, test: &Dataset, params: &[f32]) -> f64 {
+    template.set_params(params);
+    let indices: Vec<usize> = (0..test.len()).collect();
+    let mut correct_weighted = 0.0f64;
+    for chunk in indices.chunks(64) {
+        let (x, labels) = test.batch(chunk);
+        let (_, acc) = template.evaluate(&x, &labels);
+        correct_weighted += acc * chunk.len() as f64;
+    }
+    correct_weighted / indices.len() as f64
+}
+
+/// What the dense runner carries across rounds beside the [`RunLedger`]:
+/// the materialized clients and the codec, fault, transport, defense and
+/// model-mixture state a dense checkpoint adds to the ledger's share.
+struct DenseState {
+    clients: Vec<FlClient>,
+    compressor: Compressor,
+    fault_stats: FaultStats,
+    /// Exponential moving average of each client's observed downtime; the
+    /// FedMigr oracle penalizes flaky destinations with it. Stays
+    /// identically zero without fault injection.
+    flaky: Vec<f64>,
+    taccum: TransportAccum,
+    /// Uploads that completed after their round's deadline, held until an
+    /// aggregation folds (or ages) them.
+    late_buf: Vec<LateUpload>,
+    /// Completed aggregations, so a buffered upload's staleness is
+    /// measured in aggregation rounds.
+    agg_seq: usize,
+    quarantine: Option<Quarantine>,
+    robust_total: RobustStats,
+    /// The *model mixture*: an exponentially decayed estimate of the label
+    /// distribution each model has recently trained on. Migration permutes
+    /// it; aggregation resets it to the population (the global model
+    /// reflects everyone's data).
+    mix: Vec<Vec<f64>>,
+    /// Diagnostic twin of `mix` that aggregation never resets: the label
+    /// distribution of the data that actually generated each model
+    /// replica's gradients, routed through migrations and swaps only.
+    /// FedAvg keeps each replica pinned to its host's shard; migration is
+    /// what drives this EMD down.
+    train_mix: Vec<Vec<f64>>,
+    link_migrations: Vec<u32>,
+    /// Clients the watchdog excluded after implicating them in a divergence.
+    excluded: Vec<bool>,
+}
+
+impl DenseState {
+    /// The whole run after `epoch` — the ledger's share plus this state —
+    /// encoded as a checkpoint.
+    fn snapshot(&mut self, ledger: &mut RunLedger, epoch: usize) -> Vec<u8> {
+        RunState {
+            ledger: ledger.capture(epoch),
+            clients: self.clients.iter_mut().map(|c| c.export_state()).collect(),
+            fault_stats: self.fault_stats,
+            flaky: self.flaky.clone(),
+            taccum: self.taccum.export_state(),
+            late_buf: self.late_buf.clone(),
+            agg_seq: self.agg_seq,
+            quarantine: self.quarantine.as_ref().map(|q| q.export_state()),
+            robust_total: self.robust_total,
+            mix: self.mix.clone(),
+            train_mix: self.train_mix.clone(),
+            compressor: self.compressor.export_state(),
+            link_migrations: self.link_migrations.clone(),
+            excluded: self.excluded.clone(),
         }
-        correct_weighted / seen as f64
+        .to_bytes(&ledger.stamp)
+    }
+
+    /// Restores a decoded checkpoint into `ledger` and this state; returns
+    /// the checkpoint's epoch.
+    fn restore(&mut self, ledger: &mut RunLedger, s: RunState) -> usize {
+        assert_eq!(s.clients.len(), self.clients.len(), "checkpoint client count");
+        for (c, cs) in self.clients.iter_mut().zip(s.clients) {
+            c.import_state(cs);
+        }
+        assert_eq!(
+            self.quarantine.is_some(),
+            s.quarantine.is_some(),
+            "attack configuration mismatch between checkpoint and run"
+        );
+        if let (Some(q), Some(qs)) = (self.quarantine.as_mut(), s.quarantine) {
+            q.import_state(qs);
+        }
+        self.compressor.import_state(s.compressor);
+        self.taccum.import_state(s.taccum);
+        self.fault_stats = s.fault_stats;
+        self.flaky = s.flaky;
+        self.late_buf = s.late_buf;
+        self.agg_seq = s.agg_seq;
+        self.robust_total = s.robust_total;
+        self.mix = s.mix;
+        self.train_mix = s.train_mix;
+        self.link_migrations = s.link_migrations;
+        self.excluded = s.excluded;
+        ledger.restore(s.ledger)
     }
 }
 
@@ -2335,21 +2211,6 @@ fn observe_link_time(path: &'static str, seconds: f64) {
         .registry()
         .histogram("fedmigr_link_transfer_seconds", &[("path", path)])
         .observe(seconds);
-}
-
-struct AgentCtx {
-    agent: DdpgAgent,
-    reward: RewardConfig,
-    lambda: f64,
-    rho: f64,
-    resource_reward: bool,
-    liveness_penalty: f64,
-    suspicion_penalty: f64,
-    warmup_epochs: usize,
-    updates_per_epoch: usize,
-    /// Decisions awaiting their reward: `(state, executed destination,
-    /// deciding client)`.
-    pending: Vec<(Vec<f32>, usize, usize)>,
 }
 
 /// FedSwap's per-round action: swap the models of `pairs` random disjoint
@@ -2558,18 +2419,6 @@ fn aggregate_active(
         return prev_global.to_vec();
     }
     aggregator.aggregate(&entries, prev_global, stats)
-}
-
-/// An upload that completed after its round's deadline, buffered until an
-/// aggregation folds it with a staleness discount (or ages it out).
-struct LateUpload {
-    /// The uploading client.
-    client: usize,
-    /// The decoded payload the wire delivered (codec applied).
-    params: Vec<f32>,
-    /// Value of the aggregation counter when the upload was buffered;
-    /// staleness age is measured against it in aggregation rounds.
-    seq: usize,
 }
 
 /// Per-client result of one flow-transport upload phase.
@@ -2838,6 +2687,47 @@ mod tests {
             &mut stats,
         );
         assert_ne!(agg, prev_global);
+    }
+
+    #[test]
+    fn validate_rejects_each_unsupported_fleet_option() {
+        let fleet = || RunConfig {
+            fleet: Some(crate::FleetOptions::default()),
+            ..RunConfig::new(Scheme::fedmigr(1), 4)
+        };
+        assert_eq!(fleet().validate(), Ok(()));
+        type Mutation = Box<dyn Fn(&mut RunConfig)>;
+        let cases: Vec<(&str, Mutation)> = vec![
+            ("epochs", Box::new(|c| c.epochs = 0)),
+            ("sample_frac", Box::new(|c| c.fleet.as_mut().unwrap().sample_frac = 0.0)),
+            ("top_m", Box::new(|c| c.fleet.as_mut().unwrap().top_m = 0)),
+            ("FedAvg and FedMigr", Box::new(|c| c.scheme = Scheme::RandMigr)),
+            ("identity codec", Box::new(|c| c.codec = CodecConfig::parse("int8").unwrap())),
+            ("lockstep transport", Box::new(|c| c.transport = TransportConfig::flow(1))),
+            ("fault injection", Box::new(|c| c.fault = FaultConfig::edge_churn(0.2, 1))),
+            ("Byzantine", Box::new(|c| c.attack = AttackConfig::nan_inject(0.3, 1))),
+            ("differential privacy", Box::new(|c| c.dp = Some(DpConfig::with_epsilon(1.0)))),
+            ("FedAvg aggregator", Box::new(|c| c.aggregator = Aggregator::CoordinateMedian)),
+            ("watchdog", Box::new(|c| c.watchdog.enabled = true)),
+            ("participation", Box::new(|c| c.participation = 0.5)),
+            ("checkpoint_every", Box::new(|c| c.checkpoint_every = Some(3))),
+        ];
+        for (name, mutate) in cases {
+            let mut cfg = fleet();
+            mutate(&mut cfg);
+            let err = cfg.validate().expect_err(name);
+            assert!(err.to_string().contains(name), "{name}: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_applies_dense_rules_without_fleet_options() {
+        let mut cfg = quick_cfg(Scheme::Fixed(crate::MigrationStrategy::Random), 4);
+        cfg.codec = CodecConfig::parse("int8").unwrap();
+        assert_eq!(cfg.validate(), Ok(()), "lossy codecs are dense-mode options");
+        cfg.participation = 0.5;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.to_string().contains("full participation"), "{err}");
     }
 
     #[test]

@@ -170,10 +170,10 @@ mod tests {
     fn pairwise_matrix_is_symmetric_with_zero_diagonal() {
         let dists = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![0.5, 0.5]];
         let m = pairwise_distance_matrix(&dists);
-        for i in 0..3 {
-            assert_eq!(m[i][i], 0.0);
-            for j in 0..3 {
-                assert_eq!(m[i][j], m[j][i]);
+        for (i, row) in m.iter().enumerate() {
+            assert_eq!(row[i], 0.0);
+            for (j, &d) in row.iter().enumerate() {
+                assert_eq!(d, m[j][i]);
             }
         }
         assert_eq!(m[0][1], 2.0);

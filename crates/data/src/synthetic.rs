@@ -255,8 +255,8 @@ mod tests {
         let mut means = vec![vec![0.0f32; per]; 4];
         let mut counts = vec![0usize; 4];
         for (i, &l) in y.iter().enumerate() {
-            for j in 0..per {
-                means[l][j] += x.data()[i * per + j];
+            for (m, &v) in means[l].iter_mut().zip(&x.data()[i * per..(i + 1) * per]) {
+                *m += v;
             }
             counts[l] += 1;
         }

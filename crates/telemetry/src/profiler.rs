@@ -368,20 +368,33 @@ unsafe impl GlobalAlloc for CountingAlloc {
 mod tests {
     use super::*;
 
-    // The profiler table is process-global, so the assertions that depend
-    // on its contents share one test to avoid cross-test interference.
+    /// Frame names unique to this module's test. The profiler switch and
+    /// tables are process-global, and sibling tests running in parallel
+    /// open spans (which double as frames) while the switch is on, so every
+    /// assertion reads only paths rooted at these names.
+    const ROUND: &str = "profiler_test_round";
+    const WORKER: &str = "profiler_test_worker";
+    const ALLOC: &str = "profiler_test_alloc";
+
+    fn own_table() -> BTreeMap<String, ScopeStat> {
+        report_table().into_iter().filter(|(path, _)| path.starts_with("profiler_test_")).collect()
+    }
+
+    fn own_lines(report: &str) -> Vec<&str> {
+        report.lines().filter(|l| l.starts_with("profiler_test_")).collect()
+    }
+
     #[test]
     fn frames_nest_self_time_and_merge_across_threads() {
-        reset();
         // Disabled frames record nothing.
         {
-            let _f = frame("ignored");
+            let _f = frame("profiler_test_ignored");
         }
-        assert!(report_table().is_empty());
+        assert!(own_table().is_empty());
 
         set_enabled(true);
         {
-            let _outer = frame("round");
+            let _outer = frame(ROUND);
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
                 let _inner = frame("local_train");
@@ -390,16 +403,16 @@ mod tests {
         }
         std::thread::scope(|s| {
             s.spawn(|| {
-                let _f = frame("worker");
+                let _f = frame(WORKER);
                 std::thread::sleep(std::time::Duration::from_millis(1));
             });
         });
         set_enabled(false);
 
-        let table: BTreeMap<String, ScopeStat> = report_table().into_iter().collect();
-        let round = table.get("round").expect("outer frame recorded");
-        let inner = table.get("round;local_train").expect("nested path recorded");
-        let worker = table.get("worker").expect("worker thread flushed on exit");
+        let table = own_table();
+        let round = table.get(ROUND).expect("outer frame recorded");
+        let inner = table.get(&format!("{ROUND};local_train")).expect("nested path recorded");
+        let worker = table.get(WORKER).expect("worker thread flushed on exit");
         assert_eq!(round.count, 1);
         assert_eq!(inner.count, 1);
         assert!(inner.self_nanos >= 1_000_000, "inner slept ~2ms");
@@ -411,11 +424,11 @@ mod tests {
 
         // Collapsed report: one "path micros" line per path, sorted.
         let report = collapsed_report();
-        let lines: Vec<&str> = report.lines().collect();
+        let lines = own_lines(&report);
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("round "));
-        assert!(lines[1].starts_with("round;local_train "));
-        assert!(lines[2].starts_with("worker "));
+        assert!(lines[0].starts_with(&format!("{ROUND} ")));
+        assert!(lines[1].starts_with(&format!("{ROUND};local_train ")));
+        assert!(lines[2].starts_with(&format!("{WORKER} ")));
         for l in &lines {
             let count = l.rsplit(' ').next().unwrap();
             count.parse::<u64>().expect("count column is an integer");
@@ -425,27 +438,26 @@ mod tests {
         // counting allocator installed in the test binary).
         let alloc = alloc_report();
         assert!(alloc.starts_with("# scope"));
-        assert!(alloc.lines().count() == 4);
-
-        reset();
-        assert!(report_table().is_empty());
+        assert_eq!(own_lines(&alloc).len(), 3);
 
         // Drive note_alloc/note_dealloc directly (the test binary does not
         // install CountingAlloc), checking the per-frame delta plumbing.
         set_enabled(true);
         set_alloc_enabled(true);
-        let f = frame("alloc_scope");
+        let f = frame(ALLOC);
         note_alloc(1000);
         note_alloc(500);
         note_dealloc(500);
         drop(f);
         set_alloc_enabled(false);
         set_enabled(false);
-        let table: BTreeMap<String, ScopeStat> = report_table().into_iter().collect();
-        let s = table.get("alloc_scope").expect("frame recorded");
+        let s = *own_table().get(ALLOC).expect("frame recorded");
         assert_eq!(s.allocs, 2);
         assert_eq!(s.alloc_bytes, 1500);
         assert_eq!(s.peak_bytes, 1500);
+
+        // Reset clears the global table and this thread's.
         reset();
+        assert!(own_table().is_empty());
     }
 }

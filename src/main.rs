@@ -218,7 +218,17 @@ fn main() {
         timeline_out: args.timeline_out.clone(),
     };
 
-    let metrics = if args.fleet { run_fleet(&args, cfg) } else { run_dense(&args, cfg) };
+    if args.fleet {
+        if !(0.0..=1.0).contains(&args.sample_frac) || args.sample_frac <= 0.0 {
+            die(&format!("--sample-frac must be in (0, 1], got {}", args.sample_frac));
+        }
+        cfg.fleet = Some(FleetOptions { sample_frac: args.sample_frac, top_m: args.top_m });
+    }
+    if let Err(e) = cfg.validate() {
+        die(&e.to_string());
+    }
+
+    let metrics = if args.fleet { run_fleet(&args, &cfg) } else { run_dense(&args, &cfg) };
 
     println!("scheme:           {}", metrics.scheme);
     println!("epochs run:       {}", metrics.epochs());
@@ -325,7 +335,7 @@ fn main() {
 
 /// Builds the dense federation (dataset, partition, full topology) and runs
 /// the selected scheme over materialised clients.
-fn run_dense(args: &Args, cfg: RunConfig) -> RunMetrics {
+fn run_dense(args: &Args, cfg: &RunConfig) -> RunMetrics {
     let data_cfg = SyntheticConfig {
         num_classes: args.classes,
         ..SyntheticConfig::c10_like(args.samples, args.seed)
@@ -366,22 +376,18 @@ fn run_dense(args: &Args, cfg: RunConfig) -> RunMetrics {
         args.partition,
         args.epochs
     );
-    exp.run(&cfg)
+    exp.run(cfg)
 }
 
 /// Builds the lazy sharded fleet (dormant stubs, O(LANs) topology) and runs
 /// the selected scheme with per-block cohort activation.
-fn run_fleet(args: &Args, mut cfg: RunConfig) -> RunMetrics {
+fn run_fleet(args: &Args, cfg: &RunConfig) -> RunMetrics {
     if args.partition != "shards" {
         die("--fleet draws per-client label marginals itself; --partition is not supported");
     }
     if args.classes != 10 {
         die("--fleet runs the 10-class synthetic world; --classes is not supported");
     }
-    if !(0.0..=1.0).contains(&args.sample_frac) || args.sample_frac <= 0.0 {
-        die(&format!("--sample-frac must be in (0, 1], got {}", args.sample_frac));
-    }
-    cfg.fleet = Some(FleetOptions { sample_frac: args.sample_frac, top_m: args.top_m });
     info!(
         "cli",
         "running {} on a fleet of {} clients across {} LANs (cohort {:.1}%) for up to {} \
@@ -400,7 +406,7 @@ fn run_fleet(args: &Args, mut cfg: RunConfig) -> RunMetrics {
         args.seed,
         zoo::c10_cnn(3, 8, NetScale::Small, args.seed),
     );
-    exp.run(&cfg)
+    exp.run(cfg)
 }
 
 struct Args {
