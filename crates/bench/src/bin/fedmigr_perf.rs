@@ -1,5 +1,5 @@
-//! Continuous benchmark harness: times a fixed matrix of kernel, codec,
-//! planner, flow-simulation and end-to-end benchmarks and writes a
+//! Continuous benchmark harness: times a fixed matrix of kernel, nn-layer,
+//! codec, planner, flow-simulation and end-to-end benchmarks and writes a
 //! versioned `BENCH_perf.json` for the `fedmigr_perf_diff` CI gate.
 //!
 //! ```text
@@ -24,7 +24,7 @@ use fedmigr_core::{MigrationPlan, RunConfig, Scheme};
 use fedmigr_fleet::{plan_migrations, FleetPlannerConfig};
 use fedmigr_net::{FlowConfig, FlowSim, TransportConfig};
 use fedmigr_nn::zoo::{self, NetScale};
-use fedmigr_nn::Sgd;
+use fedmigr_nn::{Conv2d, Dense, Layer, Sgd};
 use fedmigr_telemetry::info;
 use fedmigr_tensor::{l2_distance_slice, softmax_rows, Tensor};
 use rand::rngs::StdRng;
@@ -108,6 +108,15 @@ fn main() {
         });
     }
     {
+        // The transposed-left product behind every dW, at the square shape
+        // of kernel_matmul_128 so the two rows compare directly.
+        let a = Tensor::randn(&[128, 128], 1.0, &mut rng);
+        let b = Tensor::randn(&[128, 128], 1.0, &mut rng);
+        run("kernel_matmul_tn", micro_repeats, &mut || {
+            std::hint::black_box(a.matmul_tn(&b));
+        });
+    }
+    {
         let a = Tensor::randn(&[32, 512], 1.0, &mut rng);
         let b = Tensor::randn(&[512, 64], 1.0, &mut rng);
         run("kernel_matmul_rect", micro_repeats, &mut || {
@@ -137,6 +146,31 @@ fn main() {
         let logits = Tensor::randn(&[256, 10], 1.0, &mut rng);
         run("kernel_softmax_rows", micro_repeats, &mut || {
             std::hint::black_box(softmax_rows(&logits));
+        });
+    }
+
+    // --- NN layers ----------------------------------------------------
+    // One forward and one full backward (input gradient included) per
+    // repeat, at batch 32.
+    {
+        // The C10-CNN second convolution at the 8x8 input scale.
+        let mut conv = Conv2d::new(8, 16, 5, 1, 2, 7);
+        let x = Tensor::randn(&[32, 8, 4, 4], 1.0, &mut rng);
+        let g = Tensor::randn(&[32, 16, 4, 4], 1.0, &mut rng);
+        run("nn_conv_fwd_bwd", micro_repeats, &mut || {
+            conv.zero_grad();
+            std::hint::black_box(conv.forward(&x, true));
+            std::hint::black_box(conv.backward(&g));
+        });
+    }
+    {
+        let mut dense = Dense::new(256, 128, 7);
+        let x = Tensor::randn(&[32, 256], 1.0, &mut rng);
+        let g = Tensor::randn(&[32, 128], 1.0, &mut rng);
+        run("nn_dense_fwd_bwd", micro_repeats, &mut || {
+            dense.zero_grad();
+            std::hint::black_box(dense.forward(&x, true));
+            std::hint::black_box(dense.backward(&g));
         });
     }
 

@@ -25,7 +25,7 @@ pub const PERF_SCHEMA_VERSION: u32 = 1;
 /// One benchmark's measured timings.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PerfEntry {
-    /// Stable benchmark name (`kernel_*`, `codec_*`, `planner_*`,
+    /// Stable benchmark name (`kernel_*`, `nn_*`, `codec_*`, `planner_*`,
     /// `flow_*`, `e2e_*`).
     pub name: String,
     /// Median wall nanoseconds across the repeats.

@@ -351,7 +351,7 @@ impl DdpgAgent {
         let mut grad = softmax_rows(&logits);
         grad.data_mut()[action] -= 1.0;
         self.actor.net_mut().zero_grad();
-        self.actor.net_mut().backward(&grad);
+        self.actor.net_mut().backward_params(&grad);
         self.actor_opt.step(self.actor.net_mut());
     }
 
@@ -419,7 +419,7 @@ impl DdpgAgent {
             grad_q.push(2.0 * weights[i] * e / b as f32);
         }
         self.critic.net_mut().zero_grad();
-        self.critic.net_mut().backward(&Tensor::from_vec(vec![b, 1], grad_q));
+        self.critic.net_mut().backward_params(&Tensor::from_vec(vec![b, 1], grad_q));
         let critic_grad_norm = l2_norm(&grad_vector(self.critic.net_mut()));
         self.critic_opt.step(self.critic.net_mut());
 
@@ -440,7 +440,7 @@ impl DdpgAgent {
         }
         let grad_logits = softmax_backward(&probs, &grad_action, b, k);
         self.actor.net_mut().zero_grad();
-        self.actor.net_mut().backward(&Tensor::from_vec(vec![b, k], grad_logits));
+        self.actor.net_mut().backward_params(&Tensor::from_vec(vec![b, k], grad_logits));
         let actor_grad_norm = l2_norm(&grad_vector(self.actor.net_mut()));
         self.actor_opt.step(self.actor.net_mut());
         // Drop the gradients the actor pass left in the critic.

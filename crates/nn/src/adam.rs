@@ -128,7 +128,7 @@ mod tests {
             let logits = model.forward(&x, true);
             let (_, grad) = softmax_cross_entropy(&logits, &labels);
             model.net_mut().zero_grad();
-            model.net_mut().backward(&grad);
+            model.net_mut().backward_params(&grad);
             opt.step(model.net_mut());
         }
         let (loss, acc) = model.evaluate(&x, &labels);

@@ -135,6 +135,38 @@ impl Conv2d {
         }
         out
     }
+
+    /// Accumulates dW and db for `grad_out: [B, OC, OH, OW]` and returns
+    /// that gradient rearranged to `[B*OH*OW, OC]`.
+    fn param_grads(&mut self, grad_out: &Tensor) -> Tensor {
+        let cols = self.cached_cols.as_ref().expect("Conv2d::backward called before forward");
+        let [b, oc, oh, ow] = four(grad_out.shape());
+        assert_eq!(oc, self.out_channels);
+        // Rearrange grad [B, OC, OH, OW] -> [B*OH*OW, OC].
+        let rearrange = kcount::scope(Kernel::Transpose, 0, 8 * (b * oh * ow * oc) as u64);
+        let mut g2 = vec![0.0f32; b * oh * ow * oc];
+        let src = grad_out.data();
+        for bi in 0..b {
+            for co in 0..oc {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        g2[((bi * oh + oy) * ow + ox) * oc + co] =
+                            src[((bi * oc + co) * oh + oy) * ow + ox];
+                    }
+                }
+            }
+        }
+        let g2 = Tensor::from_vec(vec![b * oh * ow, oc], g2);
+        drop(rearrange);
+        self.grad_weight.add_assign(&cols.matmul_tn(&g2));
+        for r in 0..g2.rows() {
+            let row = g2.row(r);
+            for (g, &gv) in self.grad_bias.data_mut().iter_mut().zip(row) {
+                *g += gv;
+            }
+        }
+        g2
+    }
 }
 
 impl Layer for Conv2d {
@@ -172,34 +204,13 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cols = self.cached_cols.as_ref().expect("Conv2d::backward called before forward");
-        let [b, oc, oh, ow] = four(grad_out.shape());
-        assert_eq!(oc, self.out_channels);
-        // Rearrange grad [B, OC, OH, OW] -> [B*OH*OW, OC].
-        let rearrange = kcount::scope(Kernel::Transpose, 0, 8 * (b * oh * ow * oc) as u64);
-        let mut g2 = vec![0.0f32; b * oh * ow * oc];
-        let src = grad_out.data();
-        for bi in 0..b {
-            for co in 0..oc {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        g2[((bi * oh + oy) * ow + ox) * oc + co] =
-                            src[((bi * oc + co) * oh + oy) * ow + ox];
-                    }
-                }
-            }
-        }
-        let g2 = Tensor::from_vec(vec![b * oh * ow, oc], g2);
-        drop(rearrange);
-        self.grad_weight.add_assign(&cols.transpose2().matmul(&g2));
-        for r in 0..g2.rows() {
-            let row = g2.row(r);
-            for (g, &gv) in self.grad_bias.data_mut().iter_mut().zip(row) {
-                *g += gv;
-            }
-        }
+        let g2 = self.param_grads(grad_out);
         let grad_cols = g2.matmul(&self.weight.transpose2());
         self.col2im(&grad_cols)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.param_grads(grad_out);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

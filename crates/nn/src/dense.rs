@@ -61,18 +61,20 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // dx = g W^T
+        grad_out.matmul(&self.weight.transpose2())
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let input = self.cached_input.as_ref().expect("Dense::backward called before forward");
-        // dW = x^T g, db = sum_rows(g), dx = g W^T
-        self.grad_weight.add_assign(&input.transpose2().matmul(grad_out));
-        let (b, o) = (grad_out.rows(), grad_out.cols());
-        for r in 0..b {
-            let row = grad_out.row(r);
-            for (g, &gv) in self.grad_bias.data_mut().iter_mut().zip(row) {
+        // dW = x^T g, db = sum_rows(g)
+        self.grad_weight.add_assign(&input.matmul_tn(grad_out));
+        for r in 0..grad_out.rows() {
+            for (g, &gv) in self.grad_bias.data_mut().iter_mut().zip(grad_out.row(r)) {
                 *g += gv;
             }
         }
-        let _ = o;
-        grad_out.matmul(&self.weight.transpose2())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

@@ -18,6 +18,15 @@ pub trait Layer: Send {
     /// the forward input.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// Like [`Layer::backward`], but for callers that drop the input
+    /// gradient: accumulates the same parameter gradients, bit for bit, and
+    /// may skip the input-gradient work.
+    ///
+    /// The default runs `backward` and drops its result.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
+
     /// Visits every `(parameter, gradient)` pair, in a stable order.
     ///
     /// The default is a no-op for parameterless layers.

@@ -117,7 +117,7 @@ impl Model {
             return loss;
         }
         self.net.zero_grad();
-        self.net.backward(&grad);
+        self.net.backward_params(&grad);
         if let Some((global, mu)) = prox {
             apply_prox_term(&mut self.net, global, mu);
         }
@@ -155,7 +155,9 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo;
+    use crate::zoo::{self, NetScale};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn train_step_reduces_loss_on_fixed_batch() {
@@ -179,6 +181,34 @@ mod tests {
         assert!(after < before * 0.5, "loss {before} -> {after}");
         let (_, acc) = model.evaluate(&x, &labels);
         assert_eq!(acc, 1.0);
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_bits_backward_does() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let cases = [
+            (zoo::c10_cnn(3, 8, NetScale::Small, 3), Tensor::randn(&[4, 3, 8, 8], 1.0, &mut rng)),
+            (zoo::mlp(6, &[16, 8], 3, 1), Tensor::randn(&[5, 6], 1.0, &mut rng)),
+        ];
+        for (model, x) in cases {
+            let grad_bits = |mut m: Model, params_only: bool| {
+                let mut rng = StdRng::seed_from_u64(9);
+                m.net_mut().zero_grad();
+                // Two passes, so accumulation into non-zero gradients is covered.
+                for _ in 0..2 {
+                    let y = m.forward(&x, true);
+                    let g = Tensor::randn(y.shape(), 1.0, &mut rng);
+                    if params_only {
+                        m.net_mut().backward_params(&g);
+                    } else {
+                        m.net_mut().backward(&g);
+                    }
+                }
+                m.grads().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let name = model.name().to_string();
+            assert_eq!(grad_bits(model.clone(), true), grad_bits(model, false), "{name}");
+        }
     }
 
     #[test]

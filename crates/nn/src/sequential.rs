@@ -55,6 +55,19 @@ impl Layer for Sequential {
         g
     }
 
+    /// Runs `backward` on every layer but the first, and `backward_params`
+    /// on the first, whose input gradient nothing reads.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = grad_out.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        first.backward_params(&g);
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         for layer in &mut self.layers {
             layer.visit_params(f);

@@ -33,10 +33,11 @@ pub const KERNEL_COUNT: usize = 10;
 /// The named kernels with dedicated accounting slots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// Dense 2-D matrix multiply (`Tensor::matmul`).
+    /// Dense 2-D matrix multiply (`Tensor::matmul` and `Tensor::matmul_tn`).
     Matmul,
-    /// Layout shuffles: `transpose2` and the NCHW↔row-major rearranges in
-    /// the convolution forward/backward passes.
+    /// Layout shuffles: `transpose2` (which training applies only to
+    /// weights, for the input gradient `g·Wᵀ`) and the NCHW↔row-major
+    /// rearranges in the convolution forward/backward passes.
     Transpose,
     /// Elementwise maps/zips: add/sub/mul/axpy/scale/map/dot.
     Elementwise,
